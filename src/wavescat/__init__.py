@@ -18,9 +18,9 @@ from .pipeline import (BenchReport, EvalReport, ExtractReport, InferResult,
                        PipelineConfig, TrainReport, extract_features, overlay_configs,
                        run_bench, run_eval, run_extract, run_infer, run_train)
 from .ppm import load_image_channel, write_ppm
-from .scattering import (ScatterConfig, ScatterOutput, conv2_decimated, feature_length,
-                         feature_vector, plane_dims, scatter, scatter_classic,
-                         scatter_improved, selection_names)
+from .scattering import (ScatterConfig, ScatterOutput, cascade_steps, conv2_decimated,
+                         feature_length, feature_vector, plane_dims, scatter,
+                         selection_names)
 from .synth import CLASSES, render_image, synth_dataset
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "LayerSpec", "ManifestRecord", "MlpModel", "NetworkSpec", "NumericError",
     "PipelineConfig", "ScatterConfig", "ScatterOutput", "TrainConfig", "TrainReport",
     "UndefinedMetricError", "UsageError",
-    "acc", "avgpool_flops", "binary_tally", "confusion_from_predictions",
+    "acc", "avgpool_flops", "binary_tally", "cascade_steps", "confusion_from_predictions",
     "conv2_decimated", "conv_flops", "conv_out_size", "cross_entropy",
     "dump_filter_lines", "efficiency", "extract_features", "fc_flops",
     "feature_length", "feature_vector", "init_model", "load_image_channel",
@@ -39,7 +39,7 @@ __all__ = [
     "parse_config_file", "parse_layers", "pipeline_flops", "plane_dims", "ppv",
     "predict", "read_features", "read_manifest", "relu_flops", "render_image",
     "run_bench", "run_eval", "run_extract", "run_infer", "run_train", "save_model",
-    "scatter", "scatter_classic", "scatter_improved", "selection_names", "softmax",
+    "scatter", "selection_names", "softmax",
     "split_train_test", "synth_dataset", "theoretical_time", "tpr", "train",
     "write_features", "write_manifest", "write_ppm",
 ]

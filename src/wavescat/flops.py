@@ -11,12 +11,10 @@ Counting rules (all exact integer arithmetic, no floats):
 Output sizes propagate through layers as floor((n - D(K-1) - 1 + 2P)/S) + 1.
 Any count above 2^63-1 is rejected rather than silently wrapped.
 
-The scattering pipeline accounting (pipeline_flops) counts exactly the
-convolutions the cascade implementation performs, each as a single-channel
-conv2d on its output dims with the kernel's true side length, plus one op
-per element for every modulus pass, then the MLP head via fc/relu.  The
-x * phi_1 convolution is computed once and shared by S0 and the chain
-plane A1, and is counted once.
+The scattering pipeline accounting (pipeline_flops) costs the steps of
+scattering.cascade_steps, the same list scatter() runs: each convolution
+as a single-channel conv2d on its output dims with the kernel's true side
+length, one op per element for each modulus, then the MLP head via fc/relu.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, NumericError
 from .filters import make_filter_pair
-from .scattering import ScatterConfig, plane_dims, selection_names
+from .scattering import ScatterConfig, cascade_steps, feature_length, plane_dims
 
 _MAX_COUNT = 2**63 - 1
 
@@ -235,49 +233,23 @@ def parse_layers(text: str) -> tuple[LayerSpec, ...]:
 
 def pipeline_flops(width: int, height: int, config: ScatterConfig, classes: int,
                    hidden=(64, 16)) -> FlopsReport:
-    """Whole-pipeline count: every scattering convolution and modulus pass the
-    cascade performs for `config`, plus the MLP head on the selected features."""
+    """Whole-pipeline count: every step of cascade_steps(config), plus the
+    MLP head on the selected features."""
     if width < 1 or height < 1 or classes < 1:
         raise DataError("pipeline_flops needs width, height, classes >= 1")
     pairs = [make_filter_pair(b) for b in config.level_bases]
-    side_phi = [len(p.h) for p in pairs]
-    side_psi = [len(p.g) for p in pairs]
+    sides = {"phi": [len(p.h) for p in pairs], "psi": [len(p.g) for p in pairs]}
     dims = plane_dims(width, height, config)
     per = []  # (label, flops)
-
-    def conv(label, out_wh, side):
-        w, h = out_wh
-        per.append((label, conv_flops(w, h, side, 1, 1, False)))
-
-    def modulus(label, out_wh):
-        w, h = out_wh
-        per.append((f"|{label}|", relu_flops(w * h)))
-
-    d = config.depth
-    if config.variant == "improved":
-        conv("S0 = x*phi_1", dims["S0"], side_phi[0])
-        modulus("A1", dims["U1"])  # A1 = |S0 conv|, same dims as U1
-        conv("U1 = x*psi_1", dims["U1"], side_psi[0])
-        modulus("U1", dims["U1"])
-        for m in range(2, d + 1):
-            conv(f"U{m} = A{m-1}*psi_{m}", dims[f"U{m}"], side_psi[m - 1])
-            modulus(f"U{m}", dims[f"U{m}"])
-            if m < d:
-                conv(f"A{m} = A{m-1}*phi_{m}", dims[f"U{m}"], side_phi[m - 1])
-                modulus(f"A{m}", dims[f"U{m}"])
-        for n in range(1, d + 1):
-            smooth = 0 if config.smooth_with == "first" else n - 1
-            conv(f"S{n} = U{n}*phi_{smooth+1}", dims[f"S{n}"], side_phi[smooth])
-    else:
-        conv("S0 = x*phi_1", dims["S0"], side_phi[0])
-        for n in range(1, d + 1):
-            conv(f"U{n} = {'x' if n == 1 else f'U{n-1}'}*psi_{n}", dims[f"U{n}"], side_psi[n - 1])
-            modulus(f"U{n}", dims[f"U{n}"])
-        for n in range(1, d + 1):
-            conv(f"S{n} = U{n}*phi_{n}", dims[f"S{n}"], side_phi[n - 1])
-    feat = sum(dims[nm][0] * dims[nm][1] for nm in selection_names(d)
-               if nm in set(config.selection))
-    widths = [feat, *hidden, classes]
+    for step in cascade_steps(config):
+        w, h = dims[step.out]
+        if step.kernel is not None:
+            kind, level = step.kernel
+            per.append((f"{step.out} = {step.src}*{kind}_{level}",
+                        conv_flops(w, h, sides[kind][level - 1], 1, 1, False)))
+        if step.modulus:
+            per.append((f"|{step.out}|", relu_flops(w * h)))
+    widths = [feature_length(width, height, config), *hidden, classes]
     for j in range(len(widths) - 1):
         per.append((f"fc {widths[j]}->{widths[j+1]}", fc_flops(widths[j], widths[j + 1], True)))
         if j < len(widths) - 2:

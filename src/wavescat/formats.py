@@ -102,6 +102,10 @@ def read_features(path):
     if veclen == 0:
         raise DataError(f"{path}: zero vector length at byte offset {pos - 8}")
     body = data[pos:]
+    # one record must fit the body, or, in a zero-record file, an array
+    if 4 * veclen > (len(body) or np.iinfo(np.intp).max):
+        raise DataError(f"{path}: vector length {veclen} does not fit the "
+                        f"{len(body)}-byte body at byte offset {pos - 8}")
     if len(body) % (4 * veclen):
         raise DataError(
             f"{path}: data size {len(body)} is not a whole number of "

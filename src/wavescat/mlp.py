@@ -56,7 +56,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     seed: int = 0
-    loss: str = "cross-entropy-with-softmax"
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -65,8 +64,6 @@ class TrainConfig:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
             raise DataError("epochs and batch_size must be >= 1")
-        if self.loss != "cross-entropy-with-softmax":
-            raise DataError(f"unsupported loss {self.loss!r}")
 
 
 def init_model(dims, seed: int = 0) -> MlpModel:

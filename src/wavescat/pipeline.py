@@ -136,7 +136,7 @@ def overlay_configs(mapping, pipeline: PipelineConfig | None = None,
 
 
 def extract_features(plane, config: ScatterConfig) -> np.ndarray:
-    return feature_vector(scatter(plane, config))
+    return feature_vector(scatter(plane, config), config.selection)
 
 
 def load_labels(records, classes) -> np.ndarray:

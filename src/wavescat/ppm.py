@@ -1,8 +1,9 @@
 """Minimal PNM image I/O and channel extraction.
 
-Handles binary PPM (P6) and PGM (P5) with maxval <= 255; PNG is decoded
-through Pillow when it is importable, otherwise PNG input is rejected.
-Parse errors always carry the byte offset where parsing stopped.
+Handles binary PPM (P6) and PGM (P5) with maxval <= 255, scaling samples
+by the header's maxval as Netpbm does; PNG is decoded through Pillow when
+it is importable, otherwise PNG input is rejected.  Parse errors always
+carry the byte offset where parsing stopped.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class _Cursor:
             self.fail(f"expected integer {what}, got {tok!r}")
 
 
-def _parse_pnm(data: bytes, path) -> np.ndarray:
-    """Returns uint8 array (h, w) for P5 or (h, w, 3) for P6."""
+def _parse_pnm(data: bytes, path) -> tuple[np.ndarray, int]:
+    """Returns (uint8 array (h, w) for P5 or (h, w, 3) for P6, maxval)."""
     cur = _Cursor(data, path)
     magic = data[:2]
     cur.pos = 2
@@ -77,7 +78,10 @@ def _parse_pnm(data: bytes, path) -> np.ndarray:
         cur.pos += len(raster)
         cur.fail(f"truncated raster: need {need} bytes, file ends")
     arr = np.frombuffer(raster, dtype=np.uint8)
-    return arr.reshape(h, w, 3) if planes == 3 else arr.reshape(h, w)
+    if maxval < 255 and arr.max() > maxval:
+        cur.pos += int(np.argmax(arr > maxval))
+        cur.fail(f"sample above maxval {maxval}")
+    return (arr.reshape(h, w, 3) if planes == 3 else arr.reshape(h, w)), maxval
 
 
 def _load_png(path):
@@ -96,7 +100,8 @@ def load_image_channel(path, channel: str = "B") -> np.ndarray:
     """Load one color channel (or a grayscale plane) as float64 in [0, 1].
 
     PPM (P6) picks the requested channel; PGM (P5) and grayscale PNG ignore
-    the selector.  Values are 8-bit samples divided by 255.
+    the selector.  Values are samples divided by the PNM header's maxval
+    (255 for PNG), so maxval itself reads as 1.0.
     """
     if channel not in CHANNELS:
         raise DataError(f"unknown channel {channel!r}; expected R, G or B")
@@ -104,14 +109,14 @@ def load_image_channel(path, channel: str = "B") -> np.ndarray:
         head = fh.read(8)
         if head[:2] in (b"P5", b"P6"):
             data = head + fh.read()
-            arr = _parse_pnm(data, path)
+            arr, maxval = _parse_pnm(data, path)
         elif head[:8] == b"\x89PNG\r\n\x1a\n":
-            arr = _load_png(path)
+            arr, maxval = _load_png(path), 255
         else:
             raise DataError(f"{path}: unsupported image format (magic {head[:2]!r})")
     if arr.ndim == 3:
         arr = arr[:, :, CHANNELS[channel]]
-    return arr.astype(np.float64) / 255.0
+    return arr.astype(np.float64) / maxval
 
 
 def write_ppm(path, rgb: np.ndarray):

@@ -1,7 +1,9 @@
 """Wavelet scattering cascades over single-channel images.
 
-Two variants share the same building block, a decimating 2D convolution with
-separable kernels:
+cascade_steps(config) is the one description of the cascade: an ordered
+list of steps, each a decimating 2D convolution with a separable kernel
+(or none), optionally followed by the modulus.  scatter() runs those steps
+and flops.pipeline_flops() costs them.  Two variants exist:
 
   classic   U1 = |x * psi_1|, U_n = |U_(n-1) * psi_n|, S_n = U_n * phi_n
   improved  A1 = |x * phi_1|, A_k = |A_(k-1) * phi_k|,
@@ -18,6 +20,8 @@ S maps decimates once more unless smooth_decimate is off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +102,6 @@ class ScatterOutput:
     s0: np.ndarray
     u_levels: tuple[np.ndarray, ...]
     s_levels: tuple[np.ndarray, ...]
-    config_echo: ScatterConfig
 
 
 def _out_len(n: int, s: int) -> int:
@@ -106,19 +109,15 @@ def _out_len(n: int, s: int) -> int:
 
 
 def _pad_indices(n: int, pad_lo: int, pad_hi: int, boundary: str, kside, shape):
+    if pad_lo > n or pad_hi > n:
+        raise DataError(
+            f"kernel side {kside} does not fit plane of shape {shape} "
+            f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
     if boundary == "symmetric":
         # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
-        if pad_lo > n or pad_hi > n:
-            raise DataError(
-                f"kernel side {kside} does not fit plane of shape {shape} "
-                f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
         lo = np.arange(pad_lo - 1, -1, -1)
         hi = np.arange(n - 1, n - 1 - pad_hi, -1)
     else:
-        if pad_lo > n or pad_hi > n:
-            raise DataError(
-                f"kernel side {kside} does not fit plane of shape {shape} "
-                f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
         lo = np.arange(-pad_lo, 0) % n
         hi = np.arange(n, n + pad_hi) % n
     return lo, hi
@@ -179,77 +178,74 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     return _conv1d_decimated(rows, f, o, boundary, s, axis=0, kside=kside, shape=x.shape)
 
 
-def _kernels(config: ScatterConfig):
-    phi = [make_kernel2d(make_filter_pair(b), SCALE, unit_dc=True) for b in config.level_bases]
-    psi = [make_kernel2d(make_filter_pair(b), WAVELET_DIAGONAL) for b in config.level_bases]
-    return phi, psi
+class Step(NamedTuple):
+    """One cascade step: out = src * kernel, decimated by `decimate` per
+    axis, then |.| when `modulus` is set.  `kernel` is ("phi" | "psi",
+    level) with a 1-based level, or None for a modulus-only step."""
+
+    out: str
+    src: str
+    kernel: tuple[str, int] | None
+    modulus: bool
+    decimate: int
 
 
-def _smooth(u: np.ndarray, phi_k: Kernel2D, config: ScatterConfig) -> np.ndarray:
-    s = config.decimate if config.smooth_decimate else 1
-    return conv2_decimated(u, phi_k, config.boundary, s)
+@lru_cache(maxsize=64)
+def cascade_steps(config: ScatterConfig) -> tuple[Step, ...]:
+    """The cascade for `config` in run order; "x" is the input plane and
+    every other source is the output of an earlier step."""
+    d, s = config.depth, config.decimate
+    steps = [Step("S0", "x", ("phi", 1), False, s)]
+    if config.variant == "classic":
+        steps += [Step(f"U{n}", f"U{n - 1}" if n > 1 else "x", ("psi", n), True, s)
+                  for n in range(1, d + 1)]
+        smooth = range(1, d + 1)
+    else:
+        if d > 1:  # A1 = |x * phi_1| shares the S0 convolution
+            steps.append(Step("A1", "S0", None, True, 1))
+        steps.append(Step("U1", "x", ("psi", 1), True, s))
+        for m in range(2, d + 1):
+            steps.append(Step(f"U{m}", f"A{m - 1}", ("psi", m), True, s))
+            if m < d:
+                steps.append(Step(f"A{m}", f"A{m - 1}", ("phi", m), True, s))
+        smooth = [1] * d if config.smooth_with == "first" else range(1, d + 1)
+    sd = s if config.smooth_decimate else 1
+    steps += [Step(f"S{n}", f"U{n}", ("phi", k), False, sd)
+              for n, k in zip(range(1, d + 1), smooth)]
+    return tuple(steps)
 
 
-def scatter_classic(plane, config: ScatterConfig) -> ScatterOutput:
-    """Classic cascade: U_n = |U_(n-1) * psi_n|, smoothed with its own level
-    basis, S_n = U_n * phi_n."""
-    if config.variant != "classic":
-        raise DataError(f"scatter_classic needs variant 'classic', got {config.variant!r}")
-    x = validate_plane(plane)
-    phi, psi = _kernels(config)
-    s, b = config.decimate, config.boundary
-    s0 = conv2_decimated(x, phi[0], b, s)
-    u_levels = []
-    cur = x
-    for n in range(config.depth):
-        cur = np.abs(conv2_decimated(cur, psi[n], b, s))
-        u_levels.append(cur)
-    s_levels = [_smooth(u_levels[n], phi[n], config) for n in range(config.depth)]
-    return ScatterOutput(s0, tuple(u_levels), tuple(s_levels), config)
-
-
-def scatter_improved(plane, config: ScatterConfig) -> ScatterOutput:
-    """Improved cascade: the low-pass chain A_k = |A_(k-1) * phi_k| replaces
-    the high-pass chain; each level's U is one high-pass off the chain, and
-    every S is smoothed with phi of the first level (smooth_with="first")."""
-    if config.variant != "improved":
-        raise DataError(f"scatter_improved needs variant 'improved', got {config.variant!r}")
-    x = validate_plane(plane)
-    phi, psi = _kernels(config)
-    s, b = config.decimate, config.boundary
-    s0 = conv2_decimated(x, phi[0], b, s)
-    u_levels = [np.abs(conv2_decimated(x, psi[0], b, s))]
-    chain = np.abs(s0)  # A1 = |x * phi_1| shares the S0 convolution
-    for m in range(2, config.depth + 1):
-        u_levels.append(np.abs(conv2_decimated(chain, psi[m - 1], b, s)))
-        if m < config.depth:
-            chain = np.abs(conv2_decimated(chain, phi[m - 1], b, s))
-    s_levels = []
-    for m in range(config.depth):
-        k = phi[0] if config.smooth_with == "first" else phi[m]
-        s_levels.append(_smooth(u_levels[m], k, config))
-    return ScatterOutput(s0, tuple(u_levels), tuple(s_levels), config)
+def _kernels(config: ScatterConfig) -> dict[str, list[Kernel2D]]:
+    pairs = [make_filter_pair(b) for b in config.level_bases]
+    return {"phi": [make_kernel2d(p, SCALE, unit_dc=True) for p in pairs],
+            "psi": [make_kernel2d(p, WAVELET_DIAGONAL) for p in pairs]}
 
 
 def scatter(plane, config: ScatterConfig) -> ScatterOutput:
-    if config.variant == "classic":
-        return scatter_classic(plane, config)
-    return scatter_improved(plane, config)
+    """Run cascade_steps(config) on one plane."""
+    planes = {"x": validate_plane(plane)}
+    bank = _kernels(config)
+    for step in cascade_steps(config):
+        y = planes[step.src]
+        if step.kernel is not None:
+            kind, level = step.kernel
+            y = conv2_decimated(y, bank[kind][level - 1], config.boundary, step.decimate)
+        planes[step.out] = np.abs(y) if step.modulus else y
+    levels = range(1, config.depth + 1)
+    return ScatterOutput(planes["S0"], tuple(planes[f"U{n}"] for n in levels),
+                         tuple(planes[f"S{n}"] for n in levels))
 
 
-def feature_vector(output: ScatterOutput, selection=None) -> np.ndarray:
+def feature_vector(output: ScatterOutput, selection) -> np.ndarray:
     """Flatten the selected planes into one vector.
 
     Planes are concatenated in declared order (S0, U1..Um, S1..Sm) regardless
     of the order names appear in `selection`; each plane is row-major.
     """
-    cfg = output.config_echo
-    if selection is None:
-        selection = cfg.selection
     wanted = set(selection)
     if not wanted:
         raise DataError("empty selection: nothing to put in the feature vector")
-    valid = selection_names(cfg.depth)
+    valid = selection_names(len(output.u_levels))
     for name in wanted:
         if name not in valid:
             raise DataError(f"unknown selection {name!r}; valid: {', '.join(valid)}")
@@ -261,21 +257,13 @@ def feature_vector(output: ScatterOutput, selection=None) -> np.ndarray:
 
 
 def plane_dims(width: int, height: int, config: ScatterConfig) -> dict[str, tuple[int, int]]:
-    """Output dims of every plane; identical for both variants (every level
-    decimates once, S maps once more when smooth_decimate is on)."""
-    s = config.decimate
-    dims = {}
-    w, h = width, height
-    for n in range(1, config.depth + 1):
-        w, h = _out_len(w, s), _out_len(h, s)
-        dims[f"U{n}"] = (w, h)
-        if n == 1:
-            dims["S0"] = (w, h)
-    for n in range(1, config.depth + 1):
-        uw, uh = dims[f"U{n}"]
-        if config.smooth_decimate:
-            uw, uh = _out_len(uw, s), _out_len(uh, s)
-        dims[f"S{n}"] = (uw, uh)
+    """(width, height) of every plane cascade_steps(config) makes; S0, U
+    and S dims are the same for both variants."""
+    dims = {"x": (width, height)}
+    for step in cascade_steps(config):
+        w, h = dims[step.src]
+        dims[step.out] = (_out_len(w, step.decimate), _out_len(h, step.decimate))
+    del dims["x"]
     return dims
 
 

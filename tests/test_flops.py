@@ -1,10 +1,13 @@
 """Analytic FLOPs counters against literal-loop oracles and frozen totals."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from wavescat import scattering
 from wavescat.errors import DataError, NumericError
+from wavescat.filters import BASES
 from wavescat.flops import (
     LayerSpec,
     NetworkSpec,
@@ -19,7 +22,7 @@ from wavescat.flops import (
     relu_flops,
     theoretical_time,
 )
-from wavescat.scattering import ScatterConfig, feature_length
+from wavescat.scattering import ScatterConfig, feature_length, scatter
 
 REFERENCE_CNN = """
 conv2d K=7 C_out=3 bias=1
@@ -275,9 +278,8 @@ def test_layer_spec_guards():
 
 def test_pipeline_flops_tiny_hand_check():
     # 8x8 input, depth 1, bior1.1, improved, selection U1:
-    #   S0 = x*phi (shared with A1): two separable passes? counted as one
-    #   4x4 conv2d with K=2 -> 4*4*(4*1+0)*1 = 64 flops, same for U1's psi
-    #   |.| on U1: 16;  S1 = U1*phi on 2x2: 2*2*4 = 16
+    #   S0 = x*phi: 4x4 conv2d with K=2 -> 4*4*(4*1+0)*1 = 64 flops,
+    #   same for U1's psi;  |.| on U1: 16;  S1 = U1*phi on 2x2: 2*2*4 = 16
     cfg = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
     report = pipeline_flops(8, 8, cfg, classes=5)
     s0 = oracles.count_conv(4, 4, 2, 1, 1, False)
@@ -289,8 +291,8 @@ def test_pipeline_flops_tiny_hand_check():
     head = (oracles.count_fc(veclen, 64, True) + 64
             + oracles.count_fc(64, 16, True) + 16
             + oracles.count_fc(16, 5, True))
-    # improved depth 1 takes |x*phi| as A1 but never uses it past U1
-    assert report.total == s0 + u1 + 2 * mod + s1 + head
+    # improved depth 1 has no low-pass chain, so no |A1| is taken
+    assert report.total == s0 + u1 + mod + s1 + head
 
 
 def test_pipeline_flops_scales_linearly_in_pixels():
@@ -309,3 +311,50 @@ def test_pipeline_report_labels_cover_every_stage():
     labels = " ".join(report.labels)
     assert "S0" in labels and "U3" in labels and "fc 302400->64" in labels
     assert report.total == sum(n for _, n in report.per_layer)
+
+
+def _random_config(rng):
+    depth = int(rng.integers(1, 4))
+    return ScatterConfig(
+        depth=depth,
+        level_bases=tuple(BASES[i] for i in rng.integers(0, len(BASES), size=depth)),
+        boundary=("symmetric", "periodic")[int(rng.integers(0, 2))],
+        decimate=int(rng.integers(1, 3)),
+        variant=("classic", "improved")[int(rng.integers(0, 2))],
+        selection=("U1",),
+        smooth_with=("first", "last")[int(rng.integers(0, 2))],
+        smooth_decimate=bool(rng.integers(0, 2)))
+
+
+def test_pipeline_flops_conv_rows_are_the_convolutions_scatter_runs(monkeypatch):
+    real = scattering.conv2_decimated
+    ran = []
+
+    def counting(plane, kernel, boundary, decimate):
+        out = real(plane, kernel, boundary, decimate)
+        ran.append(conv_flops(out.shape[1], out.shape[0], len(kernel.factor), 1, 1, False))
+        return out
+
+    monkeypatch.setattr(scattering, "conv2_decimated", counting)
+    rng = np.random.default_rng(5)
+    seen = set()
+    checked = 0
+    while checked < 40:
+        cfg = _random_config(rng)
+        h, w = (int(v) for v in rng.integers(20, 41, size=2))
+        ran.clear()
+        try:
+            scatter(rng.random((h, w)), cfg)
+        except DataError:
+            continue  # a kernel wider than a deep plane: not a feasible config
+        report = pipeline_flops(w, h, cfg, classes=5)
+        model = [n for label, (_, n) in zip(report.labels, report.per_layer) if "*" in label]
+        assert model == ran, cfg
+        seen.update((f, getattr(cfg, f)) for f in
+                    ("variant", "depth", "smooth_with", "smooth_decimate", "decimate"))
+        checked += 1
+    assert seen == {("variant", "classic"), ("variant", "improved"),
+                    ("depth", 1), ("depth", 2), ("depth", 3),
+                    ("smooth_with", "first"), ("smooth_with", "last"),
+                    ("smooth_decimate", True), ("smooth_decimate", False),
+                    ("decimate", 1), ("decimate", 2)}

@@ -65,6 +65,22 @@ def test_pnm_header_comments(tmp_path):
                           np.array([[16, 32]]) / 255.0)
 
 
+def test_pgm_scales_by_header_maxval(tmp_path):
+    path = tmp_path / "m15.pgm"
+    path.write_bytes(b"P5\n3 1\n15\n\x00\x05\x0f")
+    got = load_image_channel(path, "B")
+    assert got[0, 2] == 1.0
+    assert np.array_equal(got, np.array([[0, 5, 15]]) / 15)
+
+
+def test_pgm_sample_above_maxval_rejected(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n3 1\n15\n\x00\x10\x0f")
+    # header is 10 bytes, the second sample sits at offset 11
+    with pytest.raises(DataError, match="sample above maxval 15 at byte offset 11"):
+        load_image_channel(path, "B")
+
+
 def test_pnm_parse_errors_carry_offsets(tmp_path):
     bad_magic = tmp_path / "x.img"
     bad_magic.write_bytes(b"XX123456")
@@ -209,6 +225,21 @@ def test_read_features_error_offsets(tmp_path):
     ragged.write_bytes(raw + b"\x00\x00")
     with pytest.raises(DataError, match="not a whole number of 16-float records"):
         read_features(ragged)
+
+
+# a one-record file must hold a whole record; a zero-record file any length
+# an array can hold (2**61 float32 is one byte past the largest)
+@pytest.mark.parametrize("records, veclen", [
+    (0, 2**61), (0, 2**62), (0, 2**63 + 5), (0, 2**64 - 1),
+    (1, 17), (1, 2**62), (1, 2**64 - 1),
+])
+def test_read_features_rejects_oversized_vector_length(tmp_path, records, veclen):
+    path = tmp_path / "f.bin"
+    write_features(path, [np.zeros(16)] * records, 8, 8, TINY)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:48] + struct.pack("<Q", veclen) + raw[56:])
+    with pytest.raises(DataError, match=f"vector length {veclen} does not fit .* byte offset 48"):
+        read_features(path)
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,6 @@ def test_train_config_guards():
         TrainConfig(epochs=0)
     with pytest.raises(DataError, match="batch_size"):
         TrainConfig(batch_size=0)
-    with pytest.raises(DataError, match="loss"):
-        TrainConfig(loss="hinge")
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ from wavescat.errors import DataError
 from wavescat.filters import BASES, SCALE, WAVELET_DIAGONAL, make_filter_pair, make_kernel2d
 from wavescat.scattering import (
     ScatterConfig,
+    cascade_steps,
     conv2_decimated,
     feature_length,
     feature_vector,
     plane_dims,
     scatter,
-    scatter_classic,
-    scatter_improved,
     selection_names,
 )
 
@@ -115,10 +114,17 @@ def test_conv_separable_equals_full_2d_sum():
 # cascades
 
 
+def test_variants_coincide_at_depth_1():
+    improved = _cfg(depth=1, level_bases=("bior2.2",), selection=("U1",))
+    classic = _cfg(depth=1, level_bases=("bior2.2",), selection=("U1",), variant="classic")
+    assert cascade_steps(improved) == cascade_steps(classic)
+    assert [s.out for s in cascade_steps(improved)] == ["S0", "U1", "S1"]
+
+
 def test_classic_zero_image_all_planes_zero():
     cfg = _cfg(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"),
                variant="classic", selection=("U1", "U2", "U3"))
-    out = scatter_classic(np.zeros((32, 32)), cfg)
+    out = scatter(np.zeros((32, 32)), cfg)
     for plane in (out.s0, *out.u_levels, *out.s_levels):
         assert np.array_equal(plane, np.zeros_like(plane))
 
@@ -138,7 +144,7 @@ def test_classic_16x16_depth2_matches_brute():
     rng = np.random.default_rng(11)
     x = rng.random((16, 16))
     cfg = _cfg(depth=2, level_bases=("bior1.1", "bior1.1"), variant="classic")
-    out = scatter_classic(x, cfg)
+    out = scatter(x, cfg)
     s0, u, sl = oracles.brute_scatter_classic(x, cfg.level_bases)
     assert oracles.rel_err(out.s0, s0) <= 1e-12
     for got, want in zip(out.u_levels, u):
@@ -152,7 +158,7 @@ def test_improved_16x16_depth3_matches_brute():
     x = rng.random((16, 16))
     cfg = ScatterConfig(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"),
                         variant="improved", selection=("U1", "U2", "U3"))
-    out = scatter_improved(x, cfg)
+    out = scatter(x, cfg)
     s0, u, sl = oracles.brute_scatter_improved(x, cfg.level_bases)
     assert oracles.rel_err(out.s0, s0) <= 1e-12
     for got, want in zip(out.u_levels, u):
@@ -289,7 +295,7 @@ def test_feature_vector_single_plane_row_major():
     x = np.random.default_rng(13).random((8, 8))
     cfg = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
     out = scatter(x, cfg)
-    vec = feature_vector(out)
+    vec = feature_vector(out, cfg.selection)
     assert out.u_levels[0].shape == (4, 4)
     assert vec.shape == (16,)
     assert np.array_equal(vec, out.u_levels[0].ravel())
@@ -376,11 +382,3 @@ def test_config_coerces_sequences_to_tuples():
                         selection=["U1", "U2"])
     assert cfg.level_bases == ("bior1.1", "bior2.2")
     assert cfg.selection == ("U1", "U2")
-
-
-def test_variant_guards():
-    x = np.zeros((8, 8))
-    with pytest.raises(DataError, match="classic"):
-        scatter_classic(x, ScatterConfig())
-    with pytest.raises(DataError, match="improved"):
-        scatter_improved(x, _cfg(variant="classic"))
