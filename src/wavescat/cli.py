@@ -99,18 +99,7 @@ def _cmd_synth(args):
     return 0
 
 
-def _dump_filters():
-    for line in dump_filter_lines():
-        print(line)
-
-
 def _cmd_extract(args):
-    if args.dump_filters:
-        _dump_filters()
-        if args.manifest is None and args.out is None:
-            return 0
-    if args.manifest is None or args.out is None:
-        raise UsageError("extract requires --manifest and --out")
     pcfg, _ = _configs(args)
     report = run_extract(pcfg, args.manifest, args.out)
     print(f"wrote {report.written} feature records to {args.out}")
@@ -200,7 +189,8 @@ def _cmd_bench(args):
 
 def _cmd_flops(args):
     if args.dump_filters:
-        _dump_filters()
+        for line in dump_filter_lines():
+            print(line)
         if args.layers is None and not args.pipeline:
             return 0
     if args.layers is not None and args.pipeline:
@@ -253,10 +243,8 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_synth)
 
     sp = sub.add_parser("extract", parents=[common], help="manifest images -> feature file")
-    sp.add_argument("--manifest", metavar="PATH")
-    sp.add_argument("--out", metavar="PATH")
-    sp.add_argument("--dump-filters", action="store_true",
-                    help="print the wavelet filter tables (17 significant digits)")
+    sp.add_argument("--manifest", required=True, metavar="PATH")
+    sp.add_argument("--out", required=True, metavar="PATH")
     sp.set_defaults(func=_cmd_extract)
 
     sp = sub.add_parser("train", parents=[common], help="feature file + manifest -> model file")

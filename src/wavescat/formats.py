@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataError
 from .filters import BASES
 from .mlp import MlpModel
-from .scattering import ScatterConfig, feature_length, selection_names
+from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_names
 
 FEATURE_MAGIC = b"IWSNFV01"
 MODEL_MAGIC = b"IWSNML01"
@@ -88,7 +88,7 @@ def read_features(path):
         return val
 
     width, height, depth = u64("width"), u64("height"), u64("depth")
-    if depth < 1 or depth > 64:
+    if not 1 <= depth <= MAX_DEPTH:
         raise DataError(f"{path}: implausible depth {depth} at byte offset 24")
     bases = []
     for i in range(depth):

@@ -58,8 +58,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DataError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < float("inf"):
+            raise DataError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:

@@ -40,7 +40,6 @@ class PipelineConfig:
     channel: str = "B"
     scatter: ScatterConfig = field(default_factory=ScatterConfig)
     classes: tuple[str, ...] = synth.CLASSES
-    model_path: str | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -59,29 +58,37 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def _to_int(key, val):
-    try:
-        return int(val)
-    except ValueError:
-        raise DataError(f"config key {key}: expected an integer, got {val!r}") from None
-
-
-def _to_float(key, val):
-    try:
-        return float(val)
-    except ValueError:
-        raise DataError(f"config key {key}: expected a number, got {val!r}") from None
-
-
-def _to_bool(key, val):
-    try:
-        return _BOOL_WORDS[val.strip().lower()]
-    except KeyError:
-        raise DataError(f"config key {key}: expected a boolean, got {val!r}") from None
+def _to_bool(val):
+    return _BOOL_WORDS[val.strip().lower()]
 
 
 def _to_names(val):
     return tuple(s.strip() for s in val.split(",") if s.strip())
+
+
+# what each parser that can fail expects, for the error message
+_EXPECTED = {int: "an integer", float: "a number", _to_bool: "a boolean"}
+
+# config key -> (config it sets, field, parser)
+CONFIG_KEYS = {
+    "width": ("pipeline", "width", int),
+    "height": ("pipeline", "height", int),
+    "channel": ("pipeline", "channel", str),
+    "classes": ("pipeline", "classes", _to_names),
+    "threads": ("pipeline", "threads", int),
+    "depth": ("scatter", "depth", int),
+    "bases": ("scatter", "level_bases", _to_names),
+    "boundary": ("scatter", "boundary", str),
+    "decimate": ("scatter", "decimate", int),
+    "variant": ("scatter", "variant", str),
+    "selection": ("scatter", "selection", _to_names),
+    "smooth_with": ("scatter", "smooth_with", str),
+    "smooth_decimate": ("scatter", "smooth_decimate", _to_bool),
+    "learning_rate": ("train", "learning_rate", float),
+    "momentum": ("train", "momentum", float),
+    "epochs": ("train", "epochs", int),
+    "batch_size": ("train", "batch_size", int),
+}
 
 
 def overlay_configs(mapping, pipeline: PipelineConfig | None = None,
@@ -92,47 +99,19 @@ def overlay_configs(mapping, pipeline: PipelineConfig | None = None,
     inconsistent combinations fail here, not later."""
     p = pipeline if pipeline is not None else PipelineConfig()
     t = training if training is not None else TrainConfig()
-    pc, sc, tc = {}, {}, {}
+    fields = {"pipeline": {}, "scatter": {}, "train": {}}
     for key, val in mapping.items():
-        if key in ("width", "height", "threads"):
-            pc[key] = _to_int(key, val)
-        elif key in ("channel", "model_path"):
-            pc[key] = val
-        elif key == "classes":
-            pc[key] = _to_names(val)
-        elif key == "depth":
-            sc["depth"] = _to_int(key, val)
-        elif key == "bases":
-            sc["level_bases"] = _to_names(val)
-        elif key == "boundary":
-            sc["boundary"] = val
-        elif key == "decimate":
-            sc["decimate"] = _to_int(key, val)
-        elif key == "variant":
-            sc["variant"] = val
-        elif key == "selection":
-            sc["selection"] = _to_names(val)
-        elif key == "smooth_with":
-            sc["smooth_with"] = val
-        elif key == "smooth_decimate":
-            sc["smooth_decimate"] = _to_bool(key, val)
-        elif key == "learning_rate":
-            tc["learning_rate"] = _to_float(key, val)
-        elif key == "momentum":
-            tc["momentum"] = _to_float(key, val)
-        elif key == "epochs":
-            tc["epochs"] = _to_int(key, val)
-        elif key == "batch_size":
-            tc["batch_size"] = _to_int(key, val)
-        else:
+        if key not in CONFIG_KEYS:
             raise DataError(f"unknown config key {key!r}")
-    if sc:
-        pc["scatter"] = replace(p.scatter, **sc)
-    if pc:
-        p = replace(p, **pc)
-    if tc:
-        t = replace(t, **tc)
-    return p, t
+        target, name, parse = CONFIG_KEYS[key]
+        try:
+            fields[target][name] = parse(val)
+        except (ValueError, KeyError):
+            raise DataError(f"config key {key}: expected {_EXPECTED[parse]}, "
+                            f"got {val!r}") from None
+    scatter_cfg = replace(p.scatter, **fields["scatter"])
+    return (replace(p, scatter=scatter_cfg, **fields["pipeline"]),
+            replace(t, **fields["train"]))
 
 
 def extract_features(plane, config: ScatterConfig) -> np.ndarray:
@@ -280,19 +259,29 @@ class EvalReport:
 
 
 def _load_model_for(config: PipelineConfig, model_path) -> MlpModel:
+    """Load a model and check that it fits the config's features and classes."""
     model = load_model(model_path)
+    expect = feature_length(config.width, config.height, config.scatter)
+    if model.dims[0] != expect:
+        raise DataError(f"{model_path}: model expects {model.dims[0]} inputs, config "
+                        f"implies {expect}")
     if model.classes != len(config.classes):
         raise DataError(f"{model_path}: model has {model.classes} outputs, config names "
                         f"{len(config.classes)} classes")
     return model
 
 
+def _load_frame(config: PipelineConfig, model_path, image_path):
+    """(plane, model): the image is loaded and its dims checked first, so a
+    wrong-size image is reported as such rather than as a model mismatch."""
+    plane = load_image_channel(image_path, config.channel)
+    _check_plane_dims(plane, config, image_path)
+    return plane, _load_model_for(config, model_path)
+
+
 def run_eval(config: PipelineConfig, features_path, manifest_path, model_path) -> EvalReport:
     vecs, labels = _load_aligned(config, features_path, manifest_path)
     model = _load_model_for(config, model_path)
-    if model.dims[0] != vecs.shape[1]:
-        raise DataError(f"{model_path}: model expects {model.dims[0]} inputs, features "
-                        f"have {vecs.shape[1]}")
     mat = _confusion(config, labels, predict(model, vecs))
     return EvalReport(len(labels), multiclass_accuracy(mat), mat, _per_class_rows(mat))
 
@@ -305,14 +294,8 @@ class InferResult:
 
 
 def run_infer(config: PipelineConfig, model_path, image_path) -> InferResult:
-    model = _load_model_for(config, model_path)
-    plane = load_image_channel(image_path, config.channel)
-    _check_plane_dims(plane, config, image_path)
-    vec = extract_features(plane, config.scatter)
-    if model.dims[0] != len(vec):
-        raise DataError(f"{model_path}: model expects {model.dims[0]} inputs, image "
-                        f"yields {len(vec)} features")
-    scores = mlp_forward(model, vec)
+    plane, model = _load_frame(config, model_path, image_path)
+    scores = mlp_forward(model, extract_features(plane, config.scatter))
     probs = softmax(scores)
     return InferResult(str(image_path), config.classes[int(np.argmax(scores))],
                        tuple(float(p) for p in probs))
@@ -334,12 +317,7 @@ class BenchReport:
 def run_bench(config: PipelineConfig, model_path, image_path, frames: int) -> BenchReport:
     if frames < 1:
         raise DataError(f"frames must be >= 1, got {frames}")
-    model = _load_model_for(config, model_path)
-    plane = load_image_channel(image_path, config.channel)
-    _check_plane_dims(plane, config, image_path)
-    if model.dims[0] != feature_length(config.width, config.height, config.scatter):
-        raise DataError(f"{model_path}: model expects {model.dims[0]} inputs, config "
-                        f"implies {feature_length(config.width, config.height, config.scatter)}")
+    plane, model = _load_frame(config, model_path, image_path)
 
     def one_frame(_i):
         t0 = time.perf_counter()

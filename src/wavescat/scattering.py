@@ -38,6 +38,9 @@ from .filters import (
 BOUNDARIES = ("symmetric", "periodic")
 VARIANTS = ("classic", "improved")
 SMOOTH_WITH = ("first", "last")
+# Feature files store the selection as one u64 bitmask over the 2*depth+1
+# selectable planes, so depth 31 is the deepest cascade a file can describe.
+MAX_DEPTH = 31
 
 
 def validate_plane(plane) -> np.ndarray:
@@ -78,6 +81,8 @@ class ScatterConfig:
         if len(self.level_bases) != self.depth:
             raise DataError(
                 f"need one basis per level: depth {self.depth}, got {len(self.level_bases)} bases")
+        if self.depth > MAX_DEPTH:
+            raise DataError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
         for b in self.level_bases:
             if b not in BASES:
                 raise DataError(f"unknown wavelet basis {b!r}; supported: {', '.join(BASES)}")
@@ -89,6 +94,8 @@ class ScatterConfig:
             raise DataError(f"unknown variant {self.variant!r}")
         if self.smooth_with not in SMOOTH_WITH:
             raise DataError(f"smooth_with must be one of {SMOOTH_WITH}, got {self.smooth_with!r}")
+        if not self.selection:
+            raise DataError("empty selection: nothing to put in the feature vector")
         valid = set(selection_names(self.depth))
         for name in self.selection:
             if name not in valid:
@@ -133,16 +140,11 @@ def _conv1d_decimated(x: np.ndarray, f: np.ndarray, origin: int, boundary: str,
     pad_lo = origin
     pad_hi = max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
     lo, hi = _pad_indices(n, pad_lo, pad_hi, boundary, kside, shape)
-    if axis == 1:
-        ext = np.concatenate((x[:, lo], x, x[:, hi]), axis=1)
-        acc = f[0] * ext[:, 0:(m - 1) * s + 1:s]
-        for t in range(1, k):
-            acc += f[t] * ext[:, t:t + (m - 1) * s + 1:s]
-    else:
-        ext = np.concatenate((x[lo, :], x, x[hi, :]), axis=0)
-        acc = f[0] * ext[0:(m - 1) * s + 1:s, :]
-        for t in range(1, k):
-            acc += f[t] * ext[t:t + (m - 1) * s + 1:s, :]
+    ext = np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
+    lead = (slice(None),) * axis  # index prefix that reaches `axis`
+    acc = f[0] * ext[lead + (slice(0, (m - 1) * s + 1, s),)]
+    for t in range(1, k):
+        acc += f[t] * ext[lead + (slice(t, t + (m - 1) * s + 1, s),)]
     return acc
 
 

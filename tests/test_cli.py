@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from wavescat.cli import main
+from wavescat.formats import save_model
+from wavescat.mlp import init_model
 from wavescat.pipeline import HIDDEN
 from wavescat.flops import pipeline_flops
 from wavescat.scattering import ScatterConfig
@@ -193,15 +195,12 @@ def test_flops_peak_and_csv(tmp_path, capsys):
 
 
 def test_dump_filters(capsys):
-    rc = main(["extract", "--dump-filters"])
-    out1 = capsys.readouterr().out
+    rc = main(["flops", "--dump-filters"])
+    out = capsys.readouterr().out
     assert rc == 0
-    headers = [l for l in out1.splitlines() if l.startswith("#")]
+    headers = [l for l in out.splitlines() if l.startswith("#")]
     assert len(headers) == 8  # four bases x (h, g)
     assert headers[0] == "# bior1.1 h"
-    rc = main(["flops", "--dump-filters"])
-    assert rc == 0
-    assert capsys.readouterr().out == out1
 
 
 def test_usage_errors(capsys):
@@ -243,6 +242,31 @@ def test_numeric_error_exit(tmp_path, capsys):
                "--width", "1048576", "--height", "1048576"])
     assert rc == 3
     assert "numeric error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, message", [
+    ("depth = 32\nbases = " + ",".join(["bior1.1"] * 32) + "\nselection = S32\n",
+     "depth must be <= 31, got 32"),
+    ("selection =\n", "empty selection"),
+], ids=["depth32", "empty-selection"])
+def test_unstorable_config_exit_2(ws, tmp_path, capsys, settings, message):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("width = 64\nheight = 64\n" + settings)
+    out = tmp_path / "o.feat"
+    rc = main(["extract", "--manifest", str(ws["manifest"]), "--out", str(out),
+               "--config", str(cfg)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_model_length_mismatch_exit_2(ws, tmp_path, capsys):
+    model = tmp_path / "short.bin"
+    save_model(init_model((100, *HIDDEN, len(CLASSES))), model)
+    rc = main(["infer", "--model", str(model), "--image", str(ws["image"]),
+               "--config", str(ws["cfg"])])
+    assert rc == 2
+    assert "model expects 100 inputs, config implies 1344" in capsys.readouterr().err
 
 
 def test_config_key_error_exit(ws, tmp_path, capsys):

@@ -151,6 +151,18 @@ def test_bitmask_round_trip_and_guard():
 # feature files
 
 
+def test_feature_file_holds_the_deepest_config(tmp_path):
+    deep = ScatterConfig(depth=31, level_bases=("bior1.1",) * 31, selection=("S31",))
+    path = tmp_path / "deep.bin"
+    write_features(path, [np.ones(1)], 8, 8, deep)
+    vecs, header = read_features(path)
+    assert (header["depth"], header["selection"], vecs.shape) == (31, ("S31",), (1, 1))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:24] + struct.pack("<Q", 32) + raw[32:])
+    with pytest.raises(DataError, match="implausible depth 32 at byte offset 24"):
+        read_features(path)
+
+
 def test_feature_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     rows = [rng.random(16) for _ in range(3)]

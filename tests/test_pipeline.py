@@ -1,15 +1,19 @@
 """Manifest-to-report pipeline: extract, train, eval, infer, bench."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavescat import synth
 from wavescat.errors import DataError
 from wavescat.formats import load_model, read_features, read_manifest, save_model
-from wavescat.mlp import TrainConfig, models_equal
+from wavescat.mlp import TrainConfig, init_model, models_equal
 from wavescat.pipeline import (
+    CONFIG_KEYS,
     HIDDEN,
     PipelineConfig,
     extract_features,
@@ -95,6 +99,31 @@ def test_overlay_configs_rejects_bad_input():
     # merged result is re-validated by the dataclass
     with pytest.raises(DataError, match="one basis per level"):
         overlay_configs({"depth": "2"})
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_learning_rate_must_be_finite(text):
+    with pytest.raises(DataError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate=float(text))
+    with pytest.raises(DataError, match="learning_rate must be finite"):
+        overlay_configs({"learning_rate": text})
+
+
+_PLAUSIBLE = st.sampled_from(["0", "1", "2", "-1", "31", "32", "1e400", "nan", "", "on",
+                              "B", "bior1.1", "bior1.1,bior2.2", "U1,S0", "periodic",
+                              "classic", "last", "a,b"])
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from([*CONFIG_KEYS, "model_path"]) | st.text(max_size=8),
+                       _PLAUSIBLE | st.text(max_size=12), max_size=6))
+def test_overlay_configs_returns_configs_or_data_error(mapping):
+    try:
+        p, t = overlay_configs(mapping)
+    except DataError:
+        return
+    assert isinstance(p, PipelineConfig) and isinstance(t, TrainConfig)
+    assert "model_path" not in mapping
 
 
 def test_overlay_preserves_given_bases():
@@ -325,6 +354,18 @@ def test_bench_report_invariants(dataset, trained):
     assert (extract_ms + classify_ms) * 3 <= report.wall_seconds * 1e3 * 1.5
 
 
+@pytest.mark.parametrize("run", ["eval", "infer", "bench"])
+def test_model_input_length_must_fit_config(dataset, features, tmp_path, run):
+    path = tmp_path / "short.bin"
+    save_model(init_model((100, *HIDDEN, 5)), path)
+    image = read_manifest(dataset)[0].path
+    calls = {"eval": lambda: run_eval(CFG64, features, dataset, path),
+             "infer": lambda: run_infer(CFG64, path, image),
+             "bench": lambda: run_bench(CFG64, path, image, frames=1)}
+    with pytest.raises(DataError, match="model expects 100 inputs, config implies 1344"):
+        calls[run]()
+
+
 def test_bench_guards(dataset, trained, tmp_path):
     path, _, _ = trained
     records = read_manifest(dataset)
@@ -349,4 +390,32 @@ def test_end_to_end_bitwise_reproducible(tmp_path):
         model_path = work / "m.bin"
         run_train(CFG64, TrainConfig(epochs=5, seed=3), feat, manifest, model_path)
         blobs.append((feat.read_bytes(), model_path.read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
+_EXTRACT_AND_TRAIN = """
+import sys
+from wavescat import synth
+from wavescat.mlp import TrainConfig
+from wavescat.pipeline import PipelineConfig, run_extract, run_train
+work = sys.argv[1]
+cfg = PipelineConfig(width=64, height=64)
+manifest = synth.synth_dataset(work, per_class=8, seed=4)
+run_extract(cfg, manifest, work + "/f.feat")
+run_train(cfg, TrainConfig(epochs=20, seed=4), work + "/f.feat", manifest, work + "/m.bin")
+"""
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    """Extract + train in fresh processes with 1 and 2 BLAS threads; the
+    training GEMMs are where a threaded BLAS could reorder sums."""
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    blobs = []
+    for n in ("1", "2"):
+        work = tmp_path / n
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", _EXTRACT_AND_TRAIN, str(work)],
+                       env=env, check=True, timeout=300)
+        blobs.append(((work / "f.feat").read_bytes(), (work / "m.bin").read_bytes()))
     assert blobs[0] == blobs[1]

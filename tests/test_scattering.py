@@ -375,6 +375,11 @@ def test_config_rejects_bad_values():
         ScatterConfig(smooth_with="middle")
     with pytest.raises(DataError, match="U5"):
         ScatterConfig(selection=("U5",))
+    # a feature file's u64 selection mask holds the 2*depth+1 planes of depth <= 31
+    with pytest.raises(DataError, match="depth must be <= 31, got 32"):
+        ScatterConfig(depth=32, level_bases=("bior1.1",) * 32, selection=("S32",))
+    with pytest.raises(DataError, match="empty selection"):
+        ScatterConfig(selection=())
 
 
 def test_config_coerces_sequences_to_tuples():
