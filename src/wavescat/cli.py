@@ -198,12 +198,14 @@ def _cmd_flops(args):
     if args.layers is not None:
         with open(args.layers, "r", encoding="utf-8") as fh:
             layers = parse_layers(fh.read())
-        spec = NetworkSpec(args.width or 1280, args.height or 720, args.channels, layers)
+        width = 1280 if args.width is None else args.width
+        height = 720 if args.height is None else args.height
+        spec = NetworkSpec(width, height, args.channels, layers)
         report = network_flops(spec)
     elif args.pipeline:
         pcfg, _ = _configs(args)
-        width = args.width or pcfg.width
-        height = args.height or pcfg.height
+        width = pcfg.width if args.width is None else args.width
+        height = pcfg.height if args.height is None else args.height
         report = pipeline_flops(width, height, pcfg.scatter, len(pcfg.classes), HIDDEN)
     else:
         raise UsageError("flops needs --layers FILE or --pipeline (or --dump-filters)")

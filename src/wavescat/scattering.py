@@ -130,22 +130,47 @@ def _pad_indices(n: int, pad_lo: int, pad_hi: int, boundary: str, kside, shape):
     return lo, hi
 
 
+# Output samples per block of a 1D pass (256 KiB of float64): the block's
+# tap products stay in cache instead of streaming plane-sized temporaries.
+_BLOCK = 1 << 15
+
+
 def _conv1d_decimated(x: np.ndarray, f: np.ndarray, origin: int, boundary: str,
                       s: int, axis: int, kside, shape) -> np.ndarray:
-    """One decimating 1D pass along `axis`; fixed tap order keeps the
-    per-output-pixel summation order deterministic."""
+    """One decimating 1D pass along `axis` into a freshly allocated array.
+
+    `x` is never written.  When the kernel needs no boundary extension on
+    this axis (pad_lo == pad_hi == 0) it is read in place; otherwise it is
+    copied once into an extended plane.  The output is filled in blocks of
+    rows through one block-sized scratch buffer per pass.  Each output
+    sample sums its taps in the fixed order 0..k-1 into one accumulator, so
+    its bits do not depend on the path or the block size."""
     n = x.shape[axis]
     k = len(f)
     m = _out_len(n, s)
     pad_lo = origin
     pad_hi = max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
     lo, hi = _pad_indices(n, pad_lo, pad_hi, boundary, kside, shape)
-    ext = np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
-    lead = (slice(None),) * axis  # index prefix that reaches `axis`
-    acc = f[0] * ext[lead + (slice(0, (m - 1) * s + 1, s),)]
-    for t in range(1, k):
-        acc += f[t] * ext[lead + (slice(t, t + (m - 1) * s + 1, s),)]
-    return acc
+    if pad_lo == pad_hi == 0:
+        ext = x
+    else:
+        ext = np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
+    out = np.empty((m, x.shape[1]) if axis == 0 else (x.shape[0], m))
+    rows, cols = out.shape
+    step = max(1, _BLOCK // cols)
+    tmp = np.empty((min(step, rows), cols))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        for t in range(k):
+            if axis == 0:
+                src = ext[r0 * s + t:(r1 - 1) * s + t + 1:s]
+            else:
+                src = ext[r0:r1, t:t + (m - 1) * s + 1:s]
+            if t == 0:
+                acc = np.multiply(src, f[0], out=out[r0:r1])
+            else:
+                acc += np.multiply(src, f[t], out=tmp[:r1 - r0])
+    return out
 
 
 def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
@@ -229,10 +254,15 @@ def scatter(plane, config: ScatterConfig) -> ScatterOutput:
     bank = _kernels(config)
     for step in cascade_steps(config):
         y = planes[step.src]
-        if step.kernel is not None:
+        fresh = step.kernel is not None
+        if fresh:
             kind, level = step.kernel
             y = conv2_decimated(y, bank[kind][level - 1], config.boundary, step.decimate)
-        planes[step.out] = np.abs(y) if step.modulus else y
+        if step.modulus:
+            # in place only on this step's own convolution output: a
+            # modulus-only step's source (A1 = |S0|) is an output plane
+            y = np.abs(y, out=y if fresh else None)
+        planes[step.out] = y
     levels = range(1, config.depth + 1)
     return ScatterOutput(planes["S0"], tuple(planes[f"U{n}"] for n in levels),
                          tuple(planes[f"S{n}"] for n in levels))

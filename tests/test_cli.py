@@ -177,6 +177,18 @@ def test_flops_pipeline_matches_library(capsys):
     assert out.splitlines()[-1].split() == ["total", str(want.total)]
 
 
+@pytest.mark.parametrize("mode", [["--layers", "configs/reference_cnn.layers"], ["--pipeline"]],
+                         ids=["layers", "pipeline"])
+@pytest.mark.parametrize("dim", ["--width", "--height"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_flops_rejects_non_positive_dims(mode, dim, value, capsys):
+    # an explicit 0 must not fall back to the default 1280x720 / config dims
+    rc = main(["flops", *mode, dim, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and ">= 1" in err
+
+
 def test_flops_peak_and_csv(tmp_path, capsys):
     report = tmp_path / "flops.csv"
     rc = main(["flops", "--pipeline", "--width", "64", "--height", "64",

@@ -1,9 +1,13 @@
 """Decimating convolution and both scattering cascades against brute oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from wavescat import scattering
 from wavescat.errors import DataError
 from wavescat.filters import BASES, SCALE, WAVELET_DIAGONAL, make_filter_pair, make_kernel2d
 from wavescat.scattering import (
@@ -110,6 +114,59 @@ def test_conv_separable_equals_full_2d_sum():
         assert oracles.rel_err(got, want) <= 1e-12
 
 
+@pytest.mark.parametrize("name, boundary", [("bior1.1", "symmetric"), ("bior2.6", "periodic")],
+                         ids=["unpadded", "padded"])
+def test_conv_never_writes_input_and_returns_fresh_memory(name, boundary):
+    kern = _kern(name, SCALE)
+    x = np.random.default_rng(11).standard_normal((24, 32))
+    before = x.tobytes()
+    x.setflags(write=False)
+    out = conv2_decimated(x, kern, boundary, 2)
+    assert x.tobytes() == before
+    assert not np.shares_memory(out, x)
+    assert out.flags.writeable
+    want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, 2)
+    assert oracles.rel_err(out, want) <= 1e-12
+
+
+def _reach(n, kern, s):
+    """(low, high) extension that the brute oracle's lookups reach past an
+    axis of n samples; 0 on both sides means the pass needs no padding."""
+    m = -(-n // s)
+    return kern.origin, max(0, (m - 1) * s + len(kern.factor) - 1 - kern.origin - (n - 1))
+
+
+@st.composite
+def _conv_cases(draw):
+    name = draw(st.sampled_from(BASES))
+    kind = draw(st.sampled_from([SCALE, WAVELET_DIAGONAL]))
+    boundary = draw(st.sampled_from(["symmetric", "periodic"]))
+    s = draw(st.integers(1, 4))
+    kern = _kern(name, kind)
+    fits = st.integers(1, 40).filter(lambda n: max(_reach(n, kern, s)) <= n)
+    block = draw(st.integers(1, 64))  # output samples per block, to split small planes
+    return name, kind, boundary, s, draw(fits), draw(fits), block, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@given(_conv_cases())
+@example(("bior1.1", SCALE, "symmetric", 2, 16, 24, 64, 0))  # no padding on either axis
+@example(("bior1.3", WAVELET_DIAGONAL, "periodic", 4, 12, 36, 5, 1))  # no padding on either axis
+@example(("bior2.6", SCALE, "periodic", 3, 20, 7, 3, 2))  # padded on both axes
+def test_conv_matches_brute_property(case):
+    name, kind, boundary, s, h, w, block, seed = case
+    kern = _kern(name, kind)
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    with mock.patch.object(scattering, "_BLOCK", block):
+        got = conv2_decimated(x, kern, boundary, s)
+    want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
+    assert got.shape == want.shape
+    # scaled by the largest value any output can take, not by max|want|:
+    # a psi output over a mirrored 1-sample axis cancels to ~0 exactly
+    bound = np.abs(kern.taps).sum() * np.abs(x).max()
+    assert np.max(np.abs(got - want)) <= 1e-12 * bound
+
+
 # ---------------------------------------------------------------------------
 # cascades
 
@@ -119,6 +176,19 @@ def test_variants_coincide_at_depth_1():
     classic = _cfg(depth=1, level_bases=("bior2.2",), selection=("U1",), variant="classic")
     assert cascade_steps(improved) == cascade_steps(classic)
     assert [s.out for s in cascade_steps(improved)] == ["S0", "U1", "S1"]
+
+
+def test_inplace_modulus_never_reaches_s0():
+    # improved depth >= 2 runs A1 = |S0| as a modulus-only step on the S0 plane
+    cfg = _cfg(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"), selection=("U1",))
+    x = np.random.default_rng(12).standard_normal((32, 32))
+    x.setflags(write=False)
+    out = scatter(x, cfg)
+    want = conv2_decimated(x, _kern("bior1.1", SCALE), "symmetric", 2)
+    assert out.s0.shape == want.shape and out.s0.tobytes() == want.tobytes()
+    assert (out.s0 < 0).any()
+    for u in out.u_levels:
+        assert (u >= 0).all()
 
 
 def test_classic_zero_image_all_planes_zero():
