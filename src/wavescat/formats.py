@@ -123,42 +123,52 @@ def save_model(model: MlpModel, path):
         fh.write(struct.pack("<Q", len(model.dims)))
         fh.write(struct.pack(f"<{len(model.dims)}Q", *model.dims))
         for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.asarray(b, dtype="<f8").tobytes())
+            # the file takes each array's own buffer; no bytes copy
+            fh.write(np.ascontiguousarray(w, dtype="<f8"))
+            fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
 def load_model(path) -> MlpModel:
+    """Read a model file.  Every size is checked against the file size before
+    anything is allocated, then each array is read straight into place, so
+    the peak is about one copy of the parameters."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != MODEL_MAGIC:
-        raise DataError(f"{path}: bad magic {data[:8]!r}, expected {MODEL_MAGIC!r} at byte offset 0")
-    if len(data) < 9:
-        raise DataError(f"{path}: truncated before version byte at byte offset 8")
-    if data[8] != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported version {data[8]} at byte offset 8")
-    pos = 9
-    if pos + 8 > len(data):
-        raise DataError(f"{path}: truncated dim count at byte offset {pos}")
-    ndims = struct.unpack_from("<Q", data, pos)[0]
-    pos += 8
-    if not 2 <= ndims <= 64:
-        raise DataError(f"{path}: implausible dim count {ndims} at byte offset 9")
-    if pos + 8 * ndims > len(data):
-        raise DataError(f"{path}: truncated dims at byte offset {pos}")
-    dims = struct.unpack_from(f"<{ndims}Q", data, pos)
-    pos += 8 * ndims
-    weights, biases = [], []
-    for j in range(ndims - 1):
-        wn, bn = dims[j] * dims[j + 1], dims[j + 1]
-        if pos + 8 * (wn + bn) > len(data):
-            raise DataError(f"{path}: truncated layer {j} parameters at byte offset {pos}")
-        weights.append(np.frombuffer(data, dtype="<f8", count=wn, offset=pos)
-                       .reshape(dims[j], dims[j + 1]).copy())
-        pos += 8 * wn
-        biases.append(np.frombuffer(data, dtype="<f8", count=bn, offset=pos).copy())
-        pos += 8 * bn
-    if pos != len(data):
-        raise DataError(f"{path}: {len(data) - pos} trailing bytes at byte offset {pos}")
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: no layer fits
+        head = fh.read(17)
+        if head[:8] != MODEL_MAGIC:
+            raise DataError(f"{path}: bad magic {head[:8]!r}, expected {MODEL_MAGIC!r} at byte offset 0")
+        if len(head) < 9:
+            raise DataError(f"{path}: truncated before version byte at byte offset 8")
+        if head[8] != MODEL_VERSION:
+            raise DataError(f"{path}: unsupported version {head[8]} at byte offset 8")
+        if len(head) < 17:
+            raise DataError(f"{path}: truncated dim count at byte offset 9")
+        ndims = struct.unpack_from("<Q", head, 9)[0]
+        if not 2 <= ndims <= 64:
+            raise DataError(f"{path}: implausible dim count {ndims} at byte offset 9")
+        raw = fh.read(8 * ndims)
+        if len(raw) < 8 * ndims:
+            raise DataError(f"{path}: truncated dims at byte offset 17")
+        dims = struct.unpack(f"<{ndims}Q", raw)
+        pos = 17 + 8 * ndims
+        offsets = []
+        for j in range(ndims - 1):
+            offsets.append(pos)
+            pos += 8 * (dims[j] * dims[j + 1] + dims[j + 1])
+            if pos > size:
+                raise DataError(f"{path}: truncated layer {j} parameters at byte offset {offsets[j]}")
+        if pos != size:
+            raise DataError(f"{path}: {size - pos} trailing bytes at byte offset {pos}")
+        if 0 in dims:  # never written; (2**62, 0) passes every size check but cannot be shaped
+            raise DataError(f"{path}: zero dim at byte offset {17 + 8 * dims.index(0)}")
+        weights, biases = [], []
+        for j, off in enumerate(offsets):
+            w = np.empty((dims[j], dims[j + 1]), dtype="<f8")
+            b = np.empty(dims[j + 1], dtype="<f8")
+            if fh.readinto(w) != w.nbytes or fh.readinto(b) != b.nbytes:
+                raise DataError(f"{path}: truncated layer {j} parameters at byte offset {off}")
+            weights.append(w)
+            biases.append(b)
     return MlpModel(tuple(int(d) for d in dims), weights, biases, seed=None)
 
 

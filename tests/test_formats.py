@@ -1,9 +1,13 @@
 """Image, feature-file, model-file, manifest, and config-file round trips."""
 
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavescat.errors import DataError
 from wavescat.formats import (
@@ -20,7 +24,7 @@ from wavescat.formats import (
     write_features,
     write_manifest,
 )
-from wavescat.mlp import init_model, models_equal
+from wavescat.mlp import MlpModel, init_model, models_equal
 from wavescat.ppm import load_image_channel, write_ppm
 from wavescat.scattering import ScatterConfig
 
@@ -314,6 +318,120 @@ def test_model_load_errors(tmp_path):
     silly.write_bytes(raw[:9] + struct.pack("<Q", 1) + raw[17:])
     with pytest.raises(DataError, match="implausible dim count 1"):
         load_model(silly)
+
+
+def _param_bytes(model):
+    return sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_bytes_do_not_depend_on_order_or_byte_order(tmp_path):
+    base = init_model((7, 5, 3), seed=12)
+    rng = np.random.default_rng(12)
+    model = MlpModel(base.dims, base.weights, [rng.normal(size=b.shape) for b in base.biases],
+                     seed=None)
+    twin = MlpModel(model.dims,
+                    [np.asfortranarray(w).astype(">f8") for w in model.weights],
+                    [b.astype(">f8") for b in model.biases], seed=None)
+    assert twin.weights[0].flags.f_contiguous and not twin.weights[0].flags.c_contiguous
+    save_model(model, tmp_path / "c.bin")
+    save_model(twin, tmp_path / "f.bin")
+    assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
+
+
+BIG_DIMS = (16384, 64, 16, 5)  # ~8 MB of parameters
+
+
+def test_save_model_peak_stays_far_below_one_copy(tmp_path):
+    model = init_model(BIG_DIMS, seed=3)
+    assert _traced_peak(save_model, model, tmp_path / "m.bin") <= 0.25 * _param_bytes(model)
+
+
+def test_load_model_peak_stays_near_one_copy(tmp_path):
+    model = init_model(BIG_DIMS, seed=3)
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    # one copy of the parameters plus the finite check's bool temporary
+    assert _traced_peak(load_model, path) <= 1.25 * _param_bytes(model)
+    assert models_equal(load_model(path), model)
+
+
+def _model_file(dims, body=b""):
+    return MODEL_MAGIC + b"\x01" + struct.pack(f"<{len(dims) + 1}Q", len(dims), *dims) + body
+
+
+def test_load_model_checks_sizes_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(_model_file((2**31, 2**31), b"\x00" * 64))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the file size")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(DataError, match="truncated layer 0 parameters at byte offset 33"):
+        load_model(path)
+
+
+def test_load_model_rejects_zero_dim(tmp_path):
+    # a zero-width layer leaves the input dim unchecked by any size
+    path = tmp_path / "zero.bin"
+    path.write_bytes(_model_file((2**62, 0, 2), b"\x00" * 16))
+    with pytest.raises(DataError, match="zero dim at byte offset 25"):
+        load_model(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_model_from_pipe_is_truncated(tmp_path):
+    raw_path = tmp_path / "m.bin"
+    save_model(init_model((4, 3, 2), seed=5), raw_path)
+    raw = raw_path.read_bytes()
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(raw)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(DataError, match="truncated layer 0 parameters at byte offset 41"):
+        load_model(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+FUZZ_RAW = _model_file((3, 2, 2)) + np.arange(1.0, 15.0).astype("<f8").tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(cut=st.integers(0, len(FUZZ_RAW)),
+       flip=st.none() | st.tuples(st.integers(0, len(FUZZ_RAW) - 1), st.integers(1, 255)),
+       tail=st.binary(max_size=40))
+def test_load_model_mutations_load_or_raise_data_error(tmp_path_factory, cut, flip, tail):
+    data = bytearray(FUZZ_RAW)
+    if flip is not None:
+        data[flip[0]] ^= flip[1]
+    data = bytes(data[:cut]) + tail
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    try:
+        model = load_model(path)
+    except DataError:
+        return
+    # a file that loads is a well-formed model file and saves back unchanged
+    save_model(model, path)
+    assert path.read_bytes() == data
 
 
 # ---------------------------------------------------------------------------
