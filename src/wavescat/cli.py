@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: synth, extract, train, infer, eval, bench, flops.
-Global flags (after the subcommand): --config PATH (key=value file),
---threads N, --seed S.  Exit codes: 0 success, 1 usage, 2 data error,
-3 numeric failure.  Reports go to stdout; --csv PATH writes the same
-report as CSV.
+Subcommands: synth, extract, train, infer, eval, bench, flops.  Each takes
+only the shared flags it reads: --config PATH (key=value file), --threads N,
+--seed S.  Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+Reports go to stdout; --csv PATH writes the same report as CSV.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ from dataclasses import replace
 from .errors import DataError, NumericError, UsageError
 from .filters import dump_filter_lines
 from .flops import NetworkSpec, network_flops, parse_layers, pipeline_flops, theoretical_time
-from .formats import parse_config_file
+from .formats import parse_config_file, read_text
 from .metrics import efficiency
 from .mlp import TrainConfig
-from .pipeline import (HIDDEN, PipelineConfig, overlay_configs, run_bench, run_eval,
-                       run_extract, run_infer, run_train)
+from .pipeline import (PipelineConfig, overlay_configs, run_bench, run_eval, run_extract,
+                       run_infer, run_train)
 from .synth import CLASSES, synth_dataset
 
 
@@ -41,8 +40,8 @@ def _configs(args) -> tuple[PipelineConfig, TrainConfig]:
     return pcfg, tcfg
 
 
-def _fmt(v, digits=6):
-    return "-" if v is None else f"{v:.{digits}f}"
+def _fmt(v):
+    return "-" if v is None else f"{v:.6f}"
 
 
 def _csv_val(v):
@@ -195,90 +194,91 @@ def _cmd_flops(args):
             return 0
     if args.layers is not None and args.pipeline:
         raise UsageError("choose one of --layers or --pipeline")
-    if args.layers is not None:
-        with open(args.layers, "r", encoding="utf-8") as fh:
-            layers = parse_layers(fh.read())
-        width = 1280 if args.width is None else args.width
-        height = 720 if args.height is None else args.height
-        spec = NetworkSpec(width, height, args.channels, layers)
-        report = network_flops(spec)
-    elif args.pipeline:
-        pcfg, _ = _configs(args)
-        width = pcfg.width if args.width is None else args.width
-        height = pcfg.height if args.height is None else args.height
-        report = pipeline_flops(width, height, pcfg.scatter, len(pcfg.classes), HIDDEN)
-    else:
+    if args.layers is None and not args.pipeline:
         raise UsageError("flops needs --layers FILE or --pipeline (or --dump-filters)")
-    if args.peak is not None:
-        report = replace(report, theoretical_time_s=theoretical_time(report, args.peak))
+    pcfg, _ = _configs(args)
+    width = pcfg.width if args.width is None else args.width
+    height = pcfg.height if args.height is None else args.height
+    if args.pipeline:
+        report = pipeline_flops(width, height, pcfg.scatter, len(pcfg.classes))
+    else:
+        layers = parse_layers(read_text(args.layers))
+        report = network_flops(NetworkSpec(width, height, args.channels, layers))
+    seconds = None if args.peak is None else theoretical_time(report, args.peak)
     print(f"{'layer':>5}  {'flops':>15}  description")
     for (idx, n), label in zip(report.per_layer, report.labels):
         print(f"{idx:>5}  {n:>15}  {label}")
     print(f"{'total':>5}  {report.total:>15}")
-    if report.theoretical_time_s is not None:
-        print(f"theoretical time {report.theoretical_time_s:.9f} s at peak {args.peak:g} FLOPS")
+    if seconds is not None:
+        print(f"theoretical time {seconds:.9f} s at peak {args.peak:g} FLOPS")
     if args.csv:
         rows = [(idx, n, label) for (idx, n), label in zip(report.per_layer, report.labels)]
         rows.append(("total", report.total, ""))
-        if report.theoretical_time_s is not None:
-            rows.append(("theoretical_time_s", report.theoretical_time_s, ""))
+        if seconds is not None:
+            rows.append(("theoretical_time_s", seconds, ""))
         _write_csv(args.csv, ("layer", "flops", "description"), rows)
     return 0
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key=value settings file")
-    common.add_argument("--threads", type=int, metavar="N", help="worker count")
-    common.add_argument("--seed", type=int, metavar="S", help="seed for synth and training")
+# Flags shared by several subcommands.  Each subcommand declares only those it
+# reads; one it does not take reads as None.
+_SHARED_FLAGS = {
+    "config": dict(metavar="PATH", help="key=value settings file"),
+    "threads": dict(type=int, metavar="N", help="worker count"),
+    "seed": dict(type=int, metavar="S", help="seed for synth and training"),
+}
 
+
+def _build_parser() -> _Parser:
     p = _Parser(prog="wavescat",
                 description="wavelet scattering features, a small MLP classifier, "
                             "an analytic FLOPs model, and a throughput benchmark")
     sub = p.add_subparsers(dest="command", metavar="command", required=True)
 
-    sp = sub.add_parser("synth", parents=[common], help="write a seeded synthetic dataset")
+    def command(name, help, func, *shared):
+        sp = sub.add_parser(name, help=help)
+        for flag in shared:
+            sp.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        sp.set_defaults(func=func, **dict.fromkeys(_SHARED_FLAGS))
+        return sp
+
+    sp = command("synth", "write a seeded synthetic dataset", _cmd_synth, "seed")
     sp.add_argument("--out", required=True, metavar="DIR")
     sp.add_argument("--per-class", type=int, default=20, metavar="N")
     sp.add_argument("--width", type=int, default=64)
     sp.add_argument("--height", type=int, default=64)
-    sp.set_defaults(func=_cmd_synth)
 
-    sp = sub.add_parser("extract", parents=[common], help="manifest images -> feature file")
+    sp = command("extract", "manifest images -> feature file", _cmd_extract, "config", "threads")
     sp.add_argument("--manifest", required=True, metavar="PATH")
     sp.add_argument("--out", required=True, metavar="PATH")
-    sp.set_defaults(func=_cmd_extract)
 
-    sp = sub.add_parser("train", parents=[common], help="feature file + manifest -> model file")
+    sp = command("train", "feature file + manifest -> model file", _cmd_train, "config", "seed")
     sp.add_argument("--features", required=True, metavar="PATH")
     sp.add_argument("--manifest", required=True, metavar="PATH")
     sp.add_argument("--out", required=True, metavar="PATH")
     sp.add_argument("--csv", metavar="PATH")
-    sp.set_defaults(func=_cmd_train)
 
-    sp = sub.add_parser("infer", parents=[common], help="classify one image")
+    sp = command("infer", "classify one image", _cmd_infer, "config")
     sp.add_argument("--model", required=True, metavar="PATH")
     sp.add_argument("--image", required=True, metavar="PATH")
-    sp.set_defaults(func=_cmd_infer)
 
-    sp = sub.add_parser("eval", parents=[common], help="confusion matrix and per-class metrics")
+    sp = command("eval", "confusion matrix and per-class metrics", _cmd_eval, "config")
     sp.add_argument("--features", required=True, metavar="PATH")
     sp.add_argument("--manifest", required=True, metavar="PATH")
     sp.add_argument("--model", required=True, metavar="PATH")
     sp.add_argument("--csv", metavar="PATH")
-    sp.set_defaults(func=_cmd_eval)
 
-    sp = sub.add_parser("bench", parents=[common], help="extract+classify throughput on one image")
+    sp = command("bench", "extract+classify throughput on one image", _cmd_bench,
+                 "config", "threads")
     sp.add_argument("--model", required=True, metavar="PATH")
     sp.add_argument("--image", required=True, metavar="PATH")
     sp.add_argument("--frames", type=int, default=100, metavar="N")
     sp.add_argument("--peak", type=float, metavar="FLOPS",
                     help="device peak FLOPS, adds fps-per-GFLOPS efficiency")
     sp.add_argument("--csv", metavar="PATH")
-    sp.set_defaults(func=_cmd_bench)
 
-    sp = sub.add_parser("flops", parents=[common], help="analytic FLOPs for a layer list "
-                                                        "or the scattering pipeline")
+    sp = command("flops", "analytic FLOPs for a layer list or the scattering pipeline",
+                 _cmd_flops, "config")
     sp.add_argument("--layers", metavar="PATH", help="plain-text layer list file")
     sp.add_argument("--pipeline", action="store_true",
                     help="count the scattering cascade + MLP head instead")
@@ -289,7 +289,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--csv", metavar="PATH")
     sp.add_argument("--dump-filters", action="store_true",
                     help="print the wavelet filter tables (17 significant digits)")
-    sp.set_defaults(func=_cmd_flops)
     return p
 
 

@@ -78,16 +78,24 @@ class FilterPair:
 class Kernel2D:
     """Separable 2D kernel: outer product of a 1D filter with itself.
 
-    taps[i][j] = f[i] * f[j] with f = h (scale kind) or f = g
-    (wavelet-diagonal kind).  factor/origin carry the 1D filter so the
-    convolution can run as two 1D passes; taps stays authoritative.
+    taps[i][j] = f[i] * f[j] with f = factor, which is h (scale kind) or g
+    (wavelet-diagonal kind).  The convolution runs as two 1D passes over
+    factor, so taps and dc_gain are only built when asked for.
     """
 
-    taps: np.ndarray
-    kind: str
-    dc_gain: float
     factor: np.ndarray
+    kind: str
     origin: int
+
+    @property
+    def taps(self) -> np.ndarray:
+        taps = np.outer(self.factor, self.factor)
+        taps.flags.writeable = False
+        return taps
+
+    @property
+    def dc_gain(self) -> float:
+        return float(self.taps.sum())
 
 
 def _values(nums, den):
@@ -192,11 +200,9 @@ def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2
         if kind != SCALE:
             raise DataError("unit_dc requires a scale kernel; the wavelet kernel has zero DC gain")
         f = f / f.sum()
-    taps = np.outer(f, f)
-    taps.flags.writeable = False
     f = np.array(f)  # private copy, keeps the cached pair immutable
     f.flags.writeable = False
-    return Kernel2D(taps=taps, kind=kind, dc_gain=float(taps.sum()), factor=f, origin=origin)
+    return Kernel2D(factor=f, kind=kind, origin=origin)
 
 
 def dump_filter_lines():

@@ -14,15 +14,17 @@ Any count above 2^63-1 is rejected rather than silently wrapped.
 The scattering pipeline accounting (pipeline_flops) costs the steps of
 scattering.cascade_steps, the same list scatter() runs: each convolution
 as a single-channel conv2d on its output dims with the kernel's true side
-length, one op per element for each modulus, then the MLP head via fc/relu.
+length, one op per element for each modulus, then the head via network_flops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DataError, NumericError
 from .filters import make_filter_pair
+from .mlp import HIDDEN
 from .scattering import ScatterConfig, cascade_steps, feature_length, plane_dims
 
 _MAX_COUNT = 2**63 - 1
@@ -71,8 +73,7 @@ class FlopsReport:
 
     per_layer: tuple[tuple[int, int], ...]
     total: int
-    labels: tuple[str, ...] = ()
-    theoretical_time_s: float | None = None
+    labels: tuple[str, ...]
 
 
 def _checked(count: int, what: str) -> int:
@@ -119,63 +120,47 @@ def relu_flops(elements: int) -> int:
 def network_flops(spec: NetworkSpec) -> FlopsReport:
     """Propagate shapes through the layer list and tally per-layer counts.
 
-    The running state is either (channels, width, height) or, after an fc
-    layer, a flat length; fc flattens spatial state automatically.
+    The running shape is (channels, width, height) until an fc layer
+    flattens it to (length,).
     """
-    chw: tuple[int, int, int] | None = (spec.channels, spec.input_width, spec.input_height)
-    flat: int | None = None
+    shape = (spec.channels, spec.input_width, spec.input_height)
     per_layer = []
     labels = []
     total = 0
     for idx, layer in enumerate(spec.layers, start=1):
         try:
-            if layer.kind == "conv2d":
-                if chw is None:
-                    raise DataError("conv2d after the network was flattened by an fc layer")
-                c, w, h = chw
-                c_in = layer.c_in if layer.c_in is not None else c
-                if c_in != c:
-                    raise DataError(f"conv2d C_in={c_in} but the running shape has {c} channels")
-                if layer.c_out is None:
-                    raise DataError("conv2d needs C_out")
-                m1 = conv_out_size(w, layer.k, layer.p, layer.s, layer.d)
-                m2 = conv_out_size(h, layer.k, layer.p, layer.s, layer.d)
-                n = conv_flops(m1, m2, layer.k, c_in, layer.c_out, layer.bias)
-                chw = (layer.c_out, m1, m2)
-                labels.append(f"conv2d K={layer.k} {c_in}->{layer.c_out} out {m1}x{m2}")
-            elif layer.kind in ("avgpool", "maxpool"):
-                if chw is None:
-                    raise DataError(f"{layer.kind} after the network was flattened")
-                c, w, h = chw
-                m1 = conv_out_size(w, layer.k, layer.p, layer.s, layer.d)
-                m2 = conv_out_size(h, layer.k, layer.p, layer.s, layer.d)
-                n = avgpool_flops(c, w, h, layer.k) if layer.kind == "avgpool" else 0
-                chw = (c, m1, m2)
-                labels.append(f"{layer.kind} K={layer.k} out {m1}x{m2}")
-            elif layer.kind == "fc":
+            if layer.kind == "fc":
                 if layer.o is None:
                     raise DataError("fc needs O")
-                have = flat if flat is not None else (
-                    chw[0] * chw[1] * chw[2] if chw is not None else None)
-                i = layer.i if layer.i is not None else have
-                if i is None:
-                    raise DataError("fc needs I: no running shape to infer it from")
-                if have is not None and layer.i is not None and layer.i != have:
-                    raise DataError(f"fc I={layer.i} but the running shape flattens to {have}")
+                i = math.prod(shape)
+                if layer.i is not None and layer.i != i:
+                    raise DataError(f"fc I={layer.i} but the running shape flattens to {i}")
                 n = fc_flops(i, layer.o, layer.bias)
-                chw, flat = None, layer.o
+                shape = (layer.o,)
                 labels.append(f"fc {i}->{layer.o}")
-            else:  # relu
-                if layer.n is not None:
-                    elems = layer.n
-                elif flat is not None:
-                    elems = flat
-                elif chw is not None:
-                    elems = chw[0] * chw[1] * chw[2]
-                else:
-                    raise DataError("relu needs N: no running shape to infer it from")
+            elif layer.kind == "relu":
+                elems = layer.n if layer.n is not None else math.prod(shape)
                 n = relu_flops(elems)
                 labels.append(f"relu {elems}")
+            else:  # conv2d, avgpool, maxpool: spatial in, spatial out
+                if len(shape) == 1:
+                    raise DataError(f"{layer.kind} after the network was flattened by an fc layer")
+                c, w, h = shape
+                if layer.kind == "conv2d":
+                    if layer.c_in is not None and layer.c_in != c:
+                        raise DataError(
+                            f"conv2d C_in={layer.c_in} but the running shape has {c} channels")
+                    if layer.c_out is None:
+                        raise DataError("conv2d needs C_out")
+                m1, m2 = (conv_out_size(side, layer.k, layer.p, layer.s, layer.d) for side in (w, h))
+                if layer.kind == "conv2d":
+                    n = conv_flops(m1, m2, layer.k, c, layer.c_out, layer.bias)
+                    shape = (layer.c_out, m1, m2)
+                    labels.append(f"conv2d K={layer.k} {c}->{layer.c_out} out {m1}x{m2}")
+                else:
+                    n = avgpool_flops(c, w, h, layer.k) if layer.kind == "avgpool" else 0
+                    shape = (c, m1, m2)
+                    labels.append(f"{layer.kind} K={layer.k} out {m1}x{m2}")
         except DataError as e:
             raise DataError(f"layer {idx} ({layer.kind}): {e}") from None
         per_layer.append((idx, n))
@@ -232,9 +217,9 @@ def parse_layers(text: str) -> tuple[LayerSpec, ...]:
 
 
 def pipeline_flops(width: int, height: int, config: ScatterConfig, classes: int,
-                   hidden=(64, 16)) -> FlopsReport:
+                   hidden=HIDDEN) -> FlopsReport:
     """Whole-pipeline count: every step of cascade_steps(config), plus the
-    MLP head on the selected features."""
+    MLP head on the selected features, costed by network_flops."""
     if width < 1 or height < 1 or classes < 1:
         raise DataError("pipeline_flops needs width, height, classes >= 1")
     pairs = [make_filter_pair(b) for b in config.level_bases]
@@ -249,11 +234,10 @@ def pipeline_flops(width: int, height: int, config: ScatterConfig, classes: int,
                         conv_flops(w, h, sides[kind][level - 1], 1, 1, False)))
         if step.modulus:
             per.append((f"|{step.out}|", relu_flops(w * h)))
-    widths = [feature_length(width, height, config), *hidden, classes]
-    for j in range(len(widths) - 1):
-        per.append((f"fc {widths[j]}->{widths[j+1]}", fc_flops(widths[j], widths[j + 1], True)))
-        if j < len(widths) - 2:
-            per.append((f"relu {widths[j+1]}", relu_flops(widths[j + 1])))
+    layers = [spec for o in hidden for spec in (LayerSpec("fc", o=o), LayerSpec("relu"))]
+    layers.append(LayerSpec("fc", o=classes))
+    head = network_flops(NetworkSpec(feature_length(width, height, config), 1, 1, tuple(layers)))
+    per += zip(head.labels, (n for _, n in head.per_layer))
     total = 0
     for _, n in per:
         total = _checked(total + n, "pipeline total")

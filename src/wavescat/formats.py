@@ -19,6 +19,7 @@ resolved against the manifest's directory.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ def write_features(path, vectors, width: int, height: int, config: ScatterConfig
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack(f"<{len(header)}Q", *header))
         for r in rows:
-            fh.write(r.tobytes())
+            fh.write(np.ascontiguousarray(r))  # the row's own buffer; no bytes copy
 
 
 def read_features(path):
@@ -178,24 +179,35 @@ class ManifestRecord:
     label: str
 
 
+def read_text(path) -> str:
+    """The file as strict UTF-8 text; a byte that does not decode is a DataError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}) "
+                        f"at byte offset {exc.start}") from None
+
+
 def read_manifest(path) -> list[ManifestRecord]:
     """Read `path<TAB>label` lines; relative paths resolve against the
     manifest's directory."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{lineno}: expected path<TAB>label, got {line!r}")
-            p, label = line.split("\t", 1)
-            if not p or not label:
-                raise DataError(f"{path}:{lineno}: empty path or label")
-            if not os.path.isabs(p):
-                p = os.path.join(base, p)
-            records.append(ManifestRecord(p, label))
+    # newline=None splits lines as a text-mode file does
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{lineno}: expected path<TAB>label, got {line!r}")
+        p, label = line.split("\t", 1)
+        if not p or not label:
+            raise DataError(f"{path}:{lineno}: empty path or label")
+        if not os.path.isabs(p):
+            p = os.path.join(base, p)
+        records.append(ManifestRecord(p, label))
     return records
 
 
@@ -208,13 +220,12 @@ def write_manifest(path, records):
 def parse_config_file(path) -> dict[str, str]:
     """Plain key=value lines; # starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out

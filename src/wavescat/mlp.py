@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import DataError, NumericError
 
+# Hidden widths of the head between the scattering features and the class scores.
+HIDDEN = (64, 16)
+
 
 @dataclass(eq=False)
 class MlpModel:

@@ -20,13 +20,10 @@ from .errors import DataError, UndefinedMetricError
 from .formats import load_model, read_features, read_manifest, save_model, write_features
 from .metrics import (ConfusionMatrix, acc, binary_tally, confusion_from_predictions,
                       multiclass_accuracy, ppv, tpr)
-from .mlp import (MlpModel, TrainConfig, init_model, mlp_forward, predict, softmax,
+from .mlp import (HIDDEN, MlpModel, TrainConfig, init_model, mlp_forward, predict, softmax,
                   split_train_test, train)
 from .ppm import CHANNELS, load_image_channel
 from .scattering import ScatterConfig, feature_length, feature_vector, scatter
-
-# MLP head between the scattering features and the class scores.
-HIDDEN = (64, 16)
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,10 @@ def _out_len(n: int, s: int) -> int:
     return -(-n // s)
 
 
-def _pad_indices(n: int, pad_lo: int, pad_hi: int, boundary: str, kside, shape):
+def _pad_indices(n: int, pad_lo: int, pad_hi: int, boundary: str, k: int, shape):
     if pad_lo > n or pad_hi > n:
         raise DataError(
-            f"kernel side {kside} does not fit plane of shape {shape} "
+            f"kernel side {k} does not fit plane of shape {shape} "
             f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
     if boundary == "symmetric":
         # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
@@ -136,7 +136,7 @@ _BLOCK = 1 << 15
 
 
 def _conv1d_decimated(x: np.ndarray, f: np.ndarray, origin: int, boundary: str,
-                      s: int, axis: int, kside, shape) -> np.ndarray:
+                      s: int, axis: int, shape) -> np.ndarray:
     """One decimating 1D pass along `axis` into a freshly allocated array.
 
     `x` is never written.  When the kernel needs no boundary extension on
@@ -150,7 +150,7 @@ def _conv1d_decimated(x: np.ndarray, f: np.ndarray, origin: int, boundary: str,
     m = _out_len(n, s)
     pad_lo = origin
     pad_hi = max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
-    lo, hi = _pad_indices(n, pad_lo, pad_hi, boundary, kside, shape)
+    lo, hi = _pad_indices(n, pad_lo, pad_hi, boundary, k, shape)
     if pad_lo == pad_hi == 0:
         ext = x
     else:
@@ -199,10 +199,9 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     s = int(decimate)
     if s < 1:
         raise DataError(f"decimate must be >= 1, got {decimate}")
-    kside = kernel.taps.shape
     f, o = kernel.factor, kernel.origin
-    rows = _conv1d_decimated(x, f, o, boundary, s, axis=1, kside=kside, shape=x.shape)
-    return _conv1d_decimated(rows, f, o, boundary, s, axis=0, kside=kside, shape=x.shape)
+    rows = _conv1d_decimated(x, f, o, boundary, s, axis=1, shape=x.shape)
+    return _conv1d_decimated(rows, f, o, boundary, s, axis=0, shape=x.shape)
 
 
 class Step(NamedTuple):

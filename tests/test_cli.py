@@ -288,3 +288,44 @@ def test_config_key_error_exit(ws, tmp_path, capsys):
                "--out", str(tmp_path / "o.feat"), "--config", str(cfg)])
     assert rc == 2
     assert "unknown config key 'colour'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "d", "--config", "c.cfg"],
+    ["synth", "--out", "d", "--threads", "2"],
+    ["extract", "--manifest", "m", "--out", "o", "--seed", "1"],
+    ["train", "--features", "f", "--manifest", "m", "--out", "o", "--threads", "2"],
+    ["infer", "--model", "m", "--image", "i", "--threads", "2"],
+    ["infer", "--model", "m", "--image", "i", "--seed", "1"],
+    ["eval", "--features", "f", "--manifest", "m", "--model", "m", "--threads", "2"],
+    ["eval", "--features", "f", "--manifest", "m", "--model", "m", "--seed", "1"],
+    ["bench", "--model", "m", "--image", "i", "--seed", "1"],
+    ["flops", "--pipeline", "--threads", "2"],
+    ["flops", "--pipeline", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommand_rejects_shared_flag_it_does_not_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"unrecognized arguments: {argv[-2]}" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_flops_layers_reads_dims_from_config(tmp_path, capsys):
+    cfg = tmp_path / "540p.cfg"
+    cfg.write_text("width = 960\nheight = 540\n")
+    rc = main(["flops", "--layers", "configs/reference_cnn.layers", "--config", str(cfg)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "459278104"]
+
+
+@pytest.mark.parametrize("reader", ["manifest", "config", "layers"])
+def test_non_utf8_text_input_exit_2(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# \xff\n")
+    argv = {"manifest": ["extract", "--manifest", str(bad), "--out", str(tmp_path / "o.feat")],
+            "config": ["flops", "--pipeline", "--config", str(bad)],
+            "layers": ["flops", "--layers", str(bad)]}[reader]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "not UTF-8 text" in err and "byte offset 2" in err

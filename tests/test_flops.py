@@ -200,6 +200,14 @@ def test_conv_after_flatten_rejected():
         network_flops(NetworkSpec(8, 8, 1, layers))
 
 
+@pytest.mark.parametrize("kind", ["avgpool", "maxpool"])
+def test_pool_after_flatten_rejected(kind):
+    layers = (LayerSpec("fc", o=16), LayerSpec(kind, k=2))
+    with pytest.raises(DataError, match=rf"layer 2 \({kind}\): {kind} after the network was "
+                                        r"flattened by an fc layer$"):
+        network_flops(NetworkSpec(8, 8, 1, layers))
+
+
 def test_channel_mismatch_rejected():
     layers = (LayerSpec("conv2d", k=3, c_in=4, c_out=2),)
     with pytest.raises(DataError, match=r"layer 1 \(conv2d\).*C_in=4"):
@@ -293,6 +301,15 @@ def test_pipeline_flops_tiny_hand_check():
             + oracles.count_fc(16, 5, True))
     # improved depth 1 has no low-pass chain, so no |A1| is taken
     assert report.total == s0 + u1 + mod + s1 + head
+
+
+def test_pipeline_head_is_costed_as_a_layer_list():
+    cfg = ScatterConfig()
+    report = pipeline_flops(64, 48, cfg, classes=5)
+    head = network_flops(NetworkSpec(feature_length(64, 48, cfg), 1, 1, parse_layers(
+        "fc O=64\nrelu\nfc O=16\nrelu\nfc O=5")))
+    assert report.labels[-5:] == head.labels
+    assert [n for _, n in report.per_layer[-5:]] == [n for _, n in head.per_layer]
 
 
 def test_pipeline_flops_scales_linearly_in_pixels():

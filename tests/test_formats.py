@@ -1,4 +1,5 @@
-"""Image, feature-file, model-file, manifest, and config-file round trips."""
+"""Image, feature-file, model-file, manifest, config-file and layer-list
+round trips, plus mutation fuzz of every parser."""
 
 import os
 import struct
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavescat.errors import DataError
+from wavescat.errors import DataError, NumericError
+from wavescat.flops import NetworkSpec, network_flops, parse_layers
 from wavescat.formats import (
     FEATURE_MAGIC,
     MODEL_MAGIC,
@@ -19,14 +21,16 @@ from wavescat.formats import (
     parse_config_file,
     read_features,
     read_manifest,
+    read_text,
     save_model,
     selection_bitmask,
     write_features,
     write_manifest,
 )
 from wavescat.mlp import MlpModel, init_model, models_equal
+from wavescat.pipeline import overlay_configs
 from wavescat.ppm import load_image_channel, write_ppm
-from wavescat.scattering import ScatterConfig
+from wavescat.scattering import ScatterConfig, feature_length
 
 TINY = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
 
@@ -200,6 +204,18 @@ def test_feature_file_magic_layout(tmp_path):
 def test_write_features_rejects_wrong_length(tmp_path):
     with pytest.raises(DataError, match="must have length 16, got 5"):
         write_features(tmp_path / "f.bin", [np.zeros(5)], 8, 8, TINY)
+
+
+def test_write_features_strided_and_big_endian_rows_match_contiguous(tmp_path):
+    veclen = feature_length(8, 8, TINY)
+    rows = np.random.default_rng(4).random((2, veclen)).astype("<f4")
+    wide = np.zeros((2, 2 * veclen), dtype="<f4")
+    wide[:, ::2] = rows
+    twins = [wide[0, ::2], rows[1].astype(">f4")]
+    assert not twins[0].flags.c_contiguous
+    write_features(tmp_path / "a.feat", rows, 8, 8, TINY)
+    write_features(tmp_path / "b.feat", twins, 8, 8, TINY)
+    assert (tmp_path / "b.feat").read_bytes() == (tmp_path / "a.feat").read_bytes()
 
 
 def test_read_features_error_offsets(tmp_path):
@@ -411,20 +427,32 @@ def test_load_model_from_pipe_is_truncated(tmp_path):
     assert not writer.is_alive()
 
 
+def _mutated(raw):
+    """A well-formed file cut short, with one byte flipped (to any value, so
+    also to bytes that are not UTF-8), and with a tail appended."""
+    def apply(cut, flip, tail):
+        data = bytearray(raw)
+        if flip is not None:
+            data[flip[0]] ^= flip[1]
+        return bytes(data[:cut]) + tail
+    return st.builds(apply, st.integers(0, len(raw)),
+                     st.none() | st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                     st.binary(max_size=40))
+
+
+def _fuzz_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    return path
+
+
 FUZZ_RAW = _model_file((3, 2, 2)) + np.arange(1.0, 15.0).astype("<f8").tobytes()
 
 
 @settings(deadline=None, max_examples=300)
-@given(cut=st.integers(0, len(FUZZ_RAW)),
-       flip=st.none() | st.tuples(st.integers(0, len(FUZZ_RAW) - 1), st.integers(1, 255)),
-       tail=st.binary(max_size=40))
-def test_load_model_mutations_load_or_raise_data_error(tmp_path_factory, cut, flip, tail):
-    data = bytearray(FUZZ_RAW)
-    if flip is not None:
-        data[flip[0]] ^= flip[1]
-    data = bytes(data[:cut]) + tail
-    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
-    path.write_bytes(data)
+@given(data=_mutated(FUZZ_RAW))
+def test_load_model_mutations_load_or_raise_data_error(tmp_path_factory, data):
+    path = _fuzz_file(tmp_path_factory, data)
     try:
         model = load_model(path)
     except DataError:
@@ -471,3 +499,100 @@ def test_config_file_parsing(tmp_path):
     path.write_text("width 64\n")
     with pytest.raises(DataError, match=r"run\.cfg:1: expected key=value"):
         parse_config_file(path)
+
+
+def test_text_inputs_must_be_utf8(tmp_path):
+    path = tmp_path / "list.tsv"
+    path.write_bytes(b"a.ppm\tnest\n\xffb.ppm\tkite\n")
+    with pytest.raises(DataError, match=r"list\.tsv: not UTF-8 text .* at byte offset 11"):
+        read_manifest(path)
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"width = 64\nheight = 6\xc34\n")
+    with pytest.raises(DataError, match=r"run\.cfg: not UTF-8 text .* at byte offset 21"):
+        parse_config_file(path)
+
+
+def test_text_lines_split_as_text_mode_files_do(tmp_path):
+    # \r\n and \r end lines; \x0b and \x85 stay inside one
+    path = tmp_path / "list.tsv"
+    body = "a.ppm\tne\x0bst\r\nb.ppm\tki\x85te\r"
+    path.write_bytes(body.encode())
+    assert [r.label for r in read_manifest(path)] == ["ne\x0bst", "ki\x85te"]
+    path.write_bytes((body + "no-tab\n").encode())
+    with pytest.raises(DataError, match=r"list\.tsv:3: expected path<TAB>label"):
+        read_manifest(path)
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: each parser returns a result or raises DataError, never a
+# traceback (load_model's fuzz sits with the model files above)
+
+
+FEATURES_RAW = (FEATURE_MAGIC + struct.pack("<6Q", 8, 8, 1, 1, 0b010, 16)
+                + np.arange(32, dtype="<f4").tobytes())
+PNM_RAWS = (b"P6\n3 2\n255\n" + bytes(range(0, 180, 10)),
+            b"P5\n# gray\n4 2\n200\n" + bytes(range(0, 200, 25)))
+MANIFEST_RAW = "imgs/a.ppm\tnest\n/abs/b.ppm\tkite\n\nc.ppm\tplastic\n".encode()
+CONFIG_RAW = ("# run\nwidth = 64\nheight=48\ndepth = 2\nbases = bior1.1,bior2.2\n"
+              "selection = U1,S2 # two planes\nsmooth_decimate = off\n"
+              "learning_rate = 0.01\nepochs = 3\n").encode()
+LAYERS_RAW = ("conv2d K=3 C_out=4 P=1 bias=1  # stem\nrelu\nmaxpool K=2 S=2\n"
+              "avgpool K=3 D=2\nfc O=16 bias=0\nrelu N=16\nfc I=16 O=5\n").encode()
+
+
+def test_fuzz_seeds_are_well_formed(tmp_path_factory):
+    assert read_features(_fuzz_file(tmp_path_factory, FEATURES_RAW))[0].shape == (2, 16)
+    shapes = [load_image_channel(_fuzz_file(tmp_path_factory, raw)).shape for raw in PNM_RAWS]
+    assert shapes == [(2, 3), (2, 4)]
+    assert len(read_manifest(_fuzz_file(tmp_path_factory, MANIFEST_RAW))) == 3
+    p, t = overlay_configs(parse_config_file(_fuzz_file(tmp_path_factory, CONFIG_RAW)))
+    assert (p.width, p.scatter.selection, t.epochs) == (64, ("U1", "S2"), 3)
+    layers = parse_layers(read_text(_fuzz_file(tmp_path_factory, LAYERS_RAW)))
+    assert network_flops(NetworkSpec(64, 48, 3, layers)).labels[-1] == "fc 16->5"
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_mutated(FEATURES_RAW))
+def test_read_features_mutations_read_or_raise_data_error(tmp_path_factory, data):
+    try:
+        read_features(_fuzz_file(tmp_path_factory, data))
+    except DataError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.sampled_from(PNM_RAWS).flatmap(_mutated))
+def test_load_image_channel_mutations_load_or_raise_data_error(tmp_path_factory, data):
+    try:
+        load_image_channel(_fuzz_file(tmp_path_factory, data))
+    except DataError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_mutated(MANIFEST_RAW))
+def test_read_manifest_mutations_read_or_raise_data_error(tmp_path_factory, data):
+    try:
+        read_manifest(_fuzz_file(tmp_path_factory, data))
+    except DataError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_mutated(CONFIG_RAW))
+def test_config_file_mutations_apply_or_raise_data_error(tmp_path_factory, data):
+    try:
+        overlay_configs(parse_config_file(_fuzz_file(tmp_path_factory, data)))
+    except DataError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_mutated(LAYERS_RAW))
+def test_layer_list_mutations_cost_or_raise_data_error(tmp_path_factory, data):
+    # the CLI's --layers path: read, parse, propagate shapes and count
+    try:
+        layers = parse_layers(read_text(_fuzz_file(tmp_path_factory, data)))
+        network_flops(NetworkSpec(64, 48, 3, layers))
+    except (DataError, NumericError):
+        pass
