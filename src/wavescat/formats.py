@@ -60,7 +60,9 @@ def write_features(path, vectors, width: int, height: int, config: ScatterConfig
     rows = [np.asarray(v, dtype="<f4") for v in vectors]
     veclen = feature_length(width, height, config)
     for r in rows:
-        if r.ndim != 1 or len(r) != veclen:
+        if r.ndim != 1:
+            raise DataError(f"feature vectors must be 1D of length {veclen}, got shape {r.shape}")
+        if len(r) != veclen:
             raise DataError(f"feature vectors must have length {veclen}, got {len(r)}")
     ids = [BASES.index(b) + 1 for b in config.level_bases]
     mask = selection_bitmask(config.depth, config.selection)

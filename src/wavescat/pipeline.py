@@ -160,9 +160,11 @@ class ExtractReport:
 def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractReport:
     """Extract one feature vector per manifest image into a feature file.
 
-    Order is preserved.  A failing image is recorded and skipped, so the
-    output stays valid; callers must treat any failure as breaking the
-    index alignment with the manifest.
+    Order is preserved.  An image that fails with DataError or OSError is
+    recorded and skipped, so the output stays valid; callers must treat
+    any failure as breaking the index alignment with the manifest.  Any
+    other exception cancels the images not yet started and propagates as
+    soon as its image's result is read.
     """
     records = read_manifest(manifest_path)
     load_labels(records, config.classes)
@@ -172,14 +174,17 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
         _check_plane_dims(plane, config, rec.path)
         return extract_features(plane, config.scatter)
 
+    vectors, failures = [], []
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         futures = [pool.submit(work, rec) for rec in records]
-    vectors, failures = [], []
-    for rec, fut in zip(records, futures):
-        try:
-            vectors.append(fut.result())
-        except (DataError, OSError) as exc:
-            failures.append((rec.path, str(exc)))
+        for rec, fut in zip(records, futures):
+            try:
+                vectors.append(fut.result())
+            except (DataError, OSError) as exc:
+                failures.append((rec.path, str(exc)))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     write_features(out_path, vectors, config.width, config.height, config.scatter)
     return ExtractReport(len(vectors), tuple(failures))
 

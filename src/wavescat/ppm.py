@@ -73,11 +73,10 @@ def _parse_pnm(data: bytes, path) -> tuple[np.ndarray, int]:
         cur.fail("missing whitespace before raster data")
     cur.pos += 1
     need = w * h * planes
-    raster = data[cur.pos : cur.pos + need]
-    if len(raster) < need:
-        cur.pos += len(raster)
+    if len(data) - cur.pos < need:
+        cur.pos = len(data)
         cur.fail(f"truncated raster: need {need} bytes, file ends")
-    arr = np.frombuffer(raster, dtype=np.uint8)
+    arr = np.frombuffer(data, dtype=np.uint8, count=need, offset=cur.pos)
     if maxval < 255 and arr.max() > maxval:
         cur.pos += int(np.argmax(arr > maxval))
         cur.fail(f"sample above maxval {maxval}")
@@ -106,17 +105,16 @@ def load_image_channel(path, channel: str = "B") -> np.ndarray:
     if channel not in CHANNELS:
         raise DataError(f"unknown channel {channel!r}; expected R, G or B")
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if head[:2] in (b"P5", b"P6"):
-            data = head + fh.read()
-            arr, maxval = _parse_pnm(data, path)
-        elif head[:8] == b"\x89PNG\r\n\x1a\n":
-            arr, maxval = _load_png(path), 255
-        else:
-            raise DataError(f"{path}: unsupported image format (magic {head[:2]!r})")
+        data = fh.read()
+    if data[:2] in (b"P5", b"P6"):
+        arr, maxval = _parse_pnm(data, path)
+    elif data[:8] == b"\x89PNG\r\n\x1a\n":
+        arr, maxval = _load_png(path), 255
+    else:
+        raise DataError(f"{path}: unsupported image format (magic {data[:2]!r})")
     if arr.ndim == 3:
         arr = arr[:, :, CHANNELS[channel]]
-    return arr.astype(np.float64) / maxval
+    return np.divide(arr, maxval, dtype=np.float64)
 
 
 def write_ppm(path, rgb: np.ndarray):

@@ -53,6 +53,7 @@ def validate_plane(plane) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=MAX_DEPTH + 1)
 def selection_names(depth: int) -> tuple[str, ...]:
     """All selectable plane names in declared order: S0, U1..Um, S1..Sm."""
     return ("S0", *[f"U{i}" for i in range(1, depth + 1)],
@@ -115,19 +116,48 @@ def _out_len(n: int, s: int) -> int:
     return -(-n // s)
 
 
-def _pad_indices(n: int, pad_lo: int, pad_hi: int, boundary: str, k: int, shape):
-    if pad_lo > n or pad_hi > n:
-        raise DataError(
-            f"kernel side {k} does not fit plane of shape {shape} "
-            f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
-    if boundary == "symmetric":
-        # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
-        lo = np.arange(pad_lo - 1, -1, -1)
-        hi = np.arange(n - 1, n - 1 - pad_hi, -1)
+def _pads(n: int, k: int, origin: int, s: int) -> tuple[int, int, int]:
+    """(output length, low extension, high extension) of one pass over an
+    axis of n samples."""
+    m = _out_len(n, s)
+    return m, origin, max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
+
+
+# One extract makes at most 16 pass shapes, so 256 plans cover many configs
+# and sizes.  A plan holds index arrays no longer than the kernel and one
+# slice per tap per block.
+@lru_cache(maxsize=256)
+def _pass_plan(in_shape: tuple[int, int], k: int, origin: int, boundary: str,
+               s: int, axis: int, block: int):
+    """Everything about one 1D pass that depends only on its shape:
+    (lo, hi, output shape, scratch rows, blocks).  `lo`/`hi` are read-only
+    indices of the samples copied in front of and behind the axis, both
+    None when the pass reads its input in place.  Each block is (output
+    rows, scratch rows, one input index per tap)."""
+    n = in_shape[axis]
+    m, pad_lo, pad_hi = _pads(n, k, origin, s)
+    if pad_lo == pad_hi == 0:
+        lo = hi = None
     else:
-        lo = np.arange(-pad_lo, 0) % n
-        hi = np.arange(n, n + pad_hi) % n
-    return lo, hi
+        if boundary == "symmetric":
+            # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
+            lo = np.arange(pad_lo - 1, -1, -1)
+            hi = np.arange(n - 1, n - 1 - pad_hi, -1)
+        else:
+            lo = np.arange(-pad_lo, 0) % n
+            hi = np.arange(n, n + pad_hi) % n
+        lo.flags.writeable = hi.flags.writeable = False
+    rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
+    step = max(1, block // cols)
+    blocks = []
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        if axis == 0:
+            taps = tuple(slice(r0 * s + t, (r1 - 1) * s + t + 1, s) for t in range(k))
+        else:
+            taps = tuple((slice(r0, r1), slice(t, t + (m - 1) * s + 1, s)) for t in range(k))
+        blocks.append((slice(r0, r1), slice(0, r1 - r0), taps))
+    return lo, hi, out_shape, min(step, rows), tuple(blocks)
 
 
 # Output samples per block of a 1D pass (256 KiB of float64): the block's
@@ -135,41 +165,44 @@ def _pad_indices(n: int, pad_lo: int, pad_hi: int, boundary: str, k: int, shape)
 _BLOCK = 1 << 15
 
 
-def _conv1d_decimated(x: np.ndarray, f: np.ndarray, origin: int, boundary: str,
-                      s: int, axis: int, shape) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _coefficients(factor: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """A 1D factor's taps as read-only 0-d float64 arrays.  A ufunc takes a
+    0-d array operand with less per-call work than a numpy scalar, and at
+    64x64 the per-call work is most of a pass."""
+    taps = np.array(factor)
+    taps.flags.writeable = False
+    return tuple(taps[t, ...] for t in range(len(taps)))
+
+
+def _conv1d_decimated(x: np.ndarray, coeffs: tuple[np.ndarray, ...], origin: int,
+                      boundary: str, s: int, axis: int, shape) -> np.ndarray:
     """One decimating 1D pass along `axis` into a freshly allocated array.
 
     `x` is never written.  When the kernel needs no boundary extension on
-    this axis (pad_lo == pad_hi == 0) it is read in place; otherwise it is
-    copied once into an extended plane.  The output is filled in blocks of
-    rows through one block-sized scratch buffer per pass.  Each output
-    sample sums its taps in the fixed order 0..k-1 into one accumulator, so
-    its bits do not depend on the path or the block size."""
-    n = x.shape[axis]
-    k = len(f)
-    m = _out_len(n, s)
-    pad_lo = origin
-    pad_hi = max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
-    lo, hi = _pad_indices(n, pad_lo, pad_hi, boundary, k, shape)
-    if pad_lo == pad_hi == 0:
-        ext = x
-    else:
-        ext = np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
-    out = np.empty((m, x.shape[1]) if axis == 0 else (x.shape[0], m))
-    rows, cols = out.shape
-    step = max(1, _BLOCK // cols)
-    tmp = np.empty((min(step, rows), cols))
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        for t in range(k):
-            if axis == 0:
-                src = ext[r0 * s + t:(r1 - 1) * s + t + 1:s]
-            else:
-                src = ext[r0:r1, t:t + (m - 1) * s + 1:s]
-            if t == 0:
-                acc = np.multiply(src, f[0], out=out[r0:r1])
-            else:
-                acc += np.multiply(src, f[t], out=tmp[:r1 - r0])
+    this axis it is read in place; otherwise it is copied once into an
+    extended plane.  The output is filled in blocks of rows through one
+    block-sized scratch buffer per pass, as laid out by the pass's cached
+    _pass_plan.  Each output sample sums its taps in the fixed order
+    0..k-1 into one accumulator, so its bits do not depend on the path or
+    the block size."""
+    n, k = x.shape[axis], len(coeffs)
+    _, pad_lo, pad_hi = _pads(n, k, origin, s)
+    if pad_lo > n or pad_hi > n:
+        raise DataError(
+            f"kernel side {k} does not fit plane of shape {shape} "
+            f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
+    # _BLOCK is read per call and keys the plan, so patching it re-plans
+    lo, hi, out_shape, scratch_rows, blocks = _pass_plan(
+        x.shape, k, origin, boundary, s, axis, _BLOCK)
+    ext = x if lo is None else np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
+    out = np.empty(out_shape)
+    tmp = np.empty((scratch_rows, out_shape[1]))
+    for dst, scratch, taps in blocks:
+        acc = np.multiply(ext[taps[0]], coeffs[0], out[dst])
+        part = tmp[scratch]
+        for src, c in zip(taps[1:], coeffs[1:]):
+            np.add(acc, np.multiply(ext[src], c, part), acc)
     return out
 
 
@@ -199,9 +232,9 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     s = int(decimate)
     if s < 1:
         raise DataError(f"decimate must be >= 1, got {decimate}")
-    f, o = kernel.factor, kernel.origin
-    rows = _conv1d_decimated(x, f, o, boundary, s, axis=1, shape=x.shape)
-    return _conv1d_decimated(rows, f, o, boundary, s, axis=0, shape=x.shape)
+    c, o = _coefficients(tuple(kernel.factor.tolist())), kernel.origin
+    rows = _conv1d_decimated(x, c, o, boundary, s, axis=1, shape=x.shape)
+    return _conv1d_decimated(rows, c, o, boundary, s, axis=0, shape=x.shape)
 
 
 class Step(NamedTuple):

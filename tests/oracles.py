@@ -217,6 +217,17 @@ def rel_err(a, b, tiny=1e-300):
     return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), tiny))
 
 
+def scaled_err(got, want, taps, x, tiny=1e-300):
+    """max|got-want| / (sum|taps| * max|x|): the error scaled by the largest
+    value any output of the convolution can take, not by max|want|, so it
+    stays meaningful where the outputs themselves cancel to ~0 (a psi
+    output over a mirrored 1-sample axis)."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    scale = float(np.abs(taps).sum()) * float(np.max(np.abs(x)))
+    return float(np.max(np.abs(got - want)) / max(scale, tiny))
+
+
 # ---------------------------------------------------------------------------
 # flops: count multiply/accumulate work by literally iterating it
 

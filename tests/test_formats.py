@@ -81,6 +81,20 @@ def test_pgm_scales_by_header_maxval(tmp_path):
     assert np.array_equal(got, np.array([[0, 5, 15]]) / 15)
 
 
+@pytest.mark.parametrize("maxval", [255, 200])
+@pytest.mark.parametrize("magic,planes", [(b"P5", 1), (b"P6", 3)])
+def test_pnm_decodes_bitwise_as_samples_over_maxval(tmp_path, magic, planes, maxval):
+    shape = (6, 5, planes) if planes == 3 else (6, 5)
+    arr = np.random.default_rng(maxval).integers(0, maxval + 1, size=shape, dtype=np.uint8)
+    path = tmp_path / "img.pnm"
+    path.write_bytes(magic + f"\n5 6\n{maxval}\n".encode() + arr.tobytes())
+    for ch, idx in (("R", 0), ("G", 1), ("B", 2)):
+        got = load_image_channel(path, ch)
+        want = (arr[:, :, idx] if planes == 3 else arr).astype(np.float64) / maxval
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pgm_sample_above_maxval_rejected(tmp_path):
     path = tmp_path / "over.pgm"
     path.write_bytes(b"P5\n3 1\n15\n\x00\x10\x0f")
@@ -204,6 +218,16 @@ def test_feature_file_magic_layout(tmp_path):
 def test_write_features_rejects_wrong_length(tmp_path):
     with pytest.raises(DataError, match="must have length 16, got 5"):
         write_features(tmp_path / "f.bin", [np.zeros(5)], 8, 8, TINY)
+
+
+@pytest.mark.parametrize("row,shape", [(np.float32(1.0), "()"),
+                                       (np.zeros((16, 1)), r"\(16, 1\)"),
+                                       (np.zeros((2, 16)), r"\(2, 16\)")])
+def test_write_features_rejects_rows_that_are_not_1d(tmp_path, row, shape):
+    path = tmp_path / "f.bin"
+    with pytest.raises(DataError, match=f"must be 1D of length 16, got shape {shape}"):
+        write_features(path, [np.zeros(16), row], 8, 8, TINY)
+    assert not path.exists()
 
 
 def test_write_features_strided_and_big_endian_rows_match_contiguous(tmp_path):

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavescat import synth
+from wavescat import pipeline, synth
 from wavescat.errors import DataError
 from wavescat.formats import load_model, read_features, read_manifest, save_model
 from wavescat.mlp import TrainConfig, init_model, models_equal
@@ -223,6 +225,29 @@ def test_extract_records_failures_and_skips(dataset, tmp_path):
     assert len(vecs) == 4
 
 
+def test_extract_fails_fast_on_an_unexpected_worker_error(dataset, tmp_path, monkeypatch):
+    records = read_manifest(dataset)
+    manifest = tmp_path / "fifty.tsv"
+    fifty = [records[i % len(records)] for i in range(50)]
+    manifest.write_text("".join(f"{r.path}\t{r.label}\n" for r in fifty))
+    calls = []
+
+    def flaky(plane, config):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("boom on the first image")
+        time.sleep(0.01)
+        return np.zeros(feature_length(64, 64, config))
+
+    monkeypatch.setattr(pipeline, "extract_features", flaky)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="boom on the first image"):
+        run_extract(CFG64, manifest, tmp_path / "out.feat")
+    assert len(calls) < 5
+    assert threading.active_count() == before == 1
+    assert not (tmp_path / "out.feat").exists()
+
+
 def test_extract_validates_labels_before_work(dataset, tmp_path):
     records = read_manifest(dataset)
     manifest = tmp_path / "bad_labels.tsv"
@@ -397,18 +422,24 @@ _EXTRACT_AND_TRAIN = """
 import sys
 from wavescat import synth
 from wavescat.mlp import TrainConfig
-from wavescat.pipeline import PipelineConfig, run_extract, run_train
+from wavescat.pipeline import PipelineConfig, run_eval, run_extract, run_train
 work = sys.argv[1]
 cfg = PipelineConfig(width=64, height=64)
 manifest = synth.synth_dataset(work, per_class=8, seed=4)
 run_extract(cfg, manifest, work + "/f.feat")
-run_train(cfg, TrainConfig(epochs=20, seed=4), work + "/f.feat", manifest, work + "/m.bin")
+_, train = run_train(cfg, TrainConfig(epochs=20, seed=4), work + "/f.feat", manifest,
+                     work + "/m.bin")
+evaluated = run_eval(cfg, work + "/f.feat", manifest, work + "/m.bin")
+with open(work + "/reports.txt", "w") as fh:
+    fh.write(repr(train) + "\\n" + repr(evaluated) + "\\n")
 """
 
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
-    """Extract + train in fresh processes with 1 and 2 BLAS threads; the
-    training GEMMs are where a threaded BLAS could reorder sums."""
+    """Extract + train + eval in fresh processes with 1 and 2 BLAS threads;
+    the training GEMMs are where a threaded BLAS could reorder sums.  The
+    feature file, the model file and the train and eval report reprs must
+    all match."""
     src = os.path.dirname(os.path.dirname(synth.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     blobs = []
@@ -417,5 +448,7 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, PYTHONPATH=path)
         subprocess.run([sys.executable, "-c", _EXTRACT_AND_TRAIN, str(work)],
                        env=env, check=True, timeout=300)
-        blobs.append(((work / "f.feat").read_bytes(), (work / "m.bin").read_bytes()))
+        blobs.append(tuple((work / name).read_bytes()
+                           for name in ("f.feat", "m.bin", "reports.txt")))
+    assert b"TrainReport(" in blobs[0][2] and b"EvalReport(" in blobs[0][2]
     assert blobs[0] == blobs[1]

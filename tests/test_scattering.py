@@ -1,5 +1,7 @@
 """Decimating convolution and both scattering cascades against brute oracles."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -153,6 +155,8 @@ def _conv_cases(draw):
 @example(("bior1.1", SCALE, "symmetric", 2, 16, 24, 64, 0))  # no padding on either axis
 @example(("bior1.3", WAVELET_DIAGONAL, "periodic", 4, 12, 36, 5, 1))  # no padding on either axis
 @example(("bior2.6", SCALE, "periodic", 3, 20, 7, 3, 2))  # padded on both axes
+@example(("bior1.1", WAVELET_DIAGONAL, "symmetric", 1, 1, 1, 1, 4))  # 1 px: cancels to 0
+@example(("bior1.3", WAVELET_DIAGONAL, "symmetric", 2, 1, 3, 2, 5))
 def test_conv_matches_brute_property(case):
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
@@ -161,10 +165,119 @@ def test_conv_matches_brute_property(case):
         got = conv2_decimated(x, kern, boundary, s)
     want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
     assert got.shape == want.shape
-    # scaled by the largest value any output can take, not by max|want|:
-    # a psi output over a mirrored 1-sample axis cancels to ~0 exactly
-    bound = np.abs(kern.taps).sum() * np.abs(x).max()
-    assert np.max(np.abs(got - want)) <= 1e-12 * bound
+    assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
+
+
+def _unblocked_pass(x, f, origin, boundary, s, axis):
+    """One 1D pass the plainest way: extend the whole plane through
+    oracles.fold, then one multiply and one add per tap over all of it,
+    taps in order 0..k-1."""
+    x = np.moveaxis(x, axis, 0)
+    n, k = x.shape[0], len(f)
+    m = -(-n // s)
+    ext = x[[oracles.fold(t - origin, n, boundary) for t in range((m - 1) * s + k)]]
+    acc = ext[0:(m - 1) * s + 1:s] * f[0]
+    for t in range(1, k):
+        acc = acc + ext[t:t + (m - 1) * s + 1:s] * f[t]
+    return np.moveaxis(acc, 0, axis)
+
+
+@settings(deadline=None)
+@given(_conv_cases())
+@example(("bior2.6", WAVELET_DIAGONAL, "symmetric", 1, 40, 40, 1, 3))  # one row per block
+def test_planned_pass_is_bitwise_the_unblocked_pass(case):
+    name, kind, boundary, s, h, w, block, seed = case
+    kern = _kern(name, kind)
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    with mock.patch.object(scattering, "_BLOCK", block):
+        got = conv2_decimated(x, kern, boundary, s)
+    rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
+    want = _unblocked_pass(rows, kern.factor, kern.origin, boundary, s, axis=0)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_patched_block_changes_the_plan_blocks():
+    kern = _kern("bior2.2", SCALE)
+    x = np.random.default_rng(5).standard_normal((24, 40))
+    seen, real = [], scattering._pass_plan
+
+    def spy(*key):
+        plan = real(*key)
+        seen.append(len(plan[-1]))
+        return plan
+
+    with mock.patch.object(scattering, "_pass_plan", spy):
+        whole = conv2_decimated(x, kern, "symmetric", 2)
+        with mock.patch.object(scattering, "_BLOCK", 20):
+            split = conv2_decimated(x, kern, "symmetric", 2)
+    # rows pass (24, 20) then columns pass (12, 20): one block each, then
+    # one output row per block once a block holds 20 samples
+    assert seen == [1, 1, 24, 12]
+    assert whole.tobytes() == split.tobytes()
+
+
+def test_pass_plans_are_read_only_and_the_cache_is_bounded():
+    lo, hi, _, _, blocks = scattering._pass_plan((9, 7), 13, 6, "symmetric", 2, 0, 1 << 15)
+    for a in (lo, hi):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert isinstance(blocks, tuple) and isinstance(blocks[0][2], tuple)
+    assert scattering._pass_plan((16, 16), 2, 0, "symmetric", 2, 1, 1 << 15)[:2] == (None, None)
+    limit = scattering._pass_plan.cache_info().maxsize
+    assert limit is not None
+    for n in range(1, limit + 20):
+        scattering._pass_plan((n, 8), 2, 0, "periodic", 1, 0, 1 << 15)
+    assert scattering._pass_plan.cache_info().currsize <= limit
+    coeffs = scattering._coefficients((0.5, -0.25))
+    assert [float(c) for c in coeffs] == [0.5, -0.25]
+    for c in coeffs:
+        assert c.shape == () and not c.flags.writeable
+    assert scattering._coefficients.cache_info().maxsize is not None
+    assert selection_names.cache_info().maxsize is not None
+
+
+def test_kernels_share_read_only_factors():
+    pair = make_filter_pair("bior2.2")
+    unit = [make_kernel2d(pair, SCALE, unit_dc=True).factor for _ in range(2)]
+    assert unit[0] is unit[1]
+    assert make_kernel2d(pair, SCALE).factor is pair.h
+    assert make_kernel2d(pair, WAVELET_DIAGONAL).factor is pair.g
+    for f in (unit[0], pair.h, pair.g):
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+
+
+def test_threads_extracting_one_plane_at_once_write_the_same_bytes():
+    planes = [np.random.default_rng(i).random(shape)
+              for i, shape in enumerate([(64, 64), (37, 53), (20, 31)])]
+    cfg = ScatterConfig(variant="classic", boundary="periodic",
+                        level_bases=("bior2.6", "bior2.2", "bior1.3"),
+                        selection=tuple(selection_names(3)))
+    want = [feature_vector(scatter(x, cfg), cfg.selection).tobytes() for x in planes]
+    got = [[] for _ in range(4)]
+    start = threading.Barrier(len(got))
+
+    def work(out):
+        start.wait()
+        for _ in range(10):
+            out.append([feature_vector(scatter(x, cfg), cfg.selection).tobytes()
+                        for x in planes])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scattering._pass_plan.cache_clear()  # every thread builds the plans at once
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want] * 10] * len(got)
 
 
 # ---------------------------------------------------------------------------
