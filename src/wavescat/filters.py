@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,13 @@ class FilterPair:
     g: np.ndarray
     h_origin: int
     g_origin: int
+
+    @cached_property
+    def unit_h(self) -> np.ndarray:
+        """h / sum(h), read-only: the factor of every unit-DC scale kernel."""
+        unit = self.h / self.h.sum()
+        unit.flags.writeable = False
+        return unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +159,6 @@ def _check_pair(name, h, h_lo, g, g_lo):
 
 
 _PAIR_CACHE: dict[str, FilterPair] = {}
-# h / sum(h) per basis: the read-only factor of every unit-DC scale kernel
-_UNIT_DC_CACHE: dict[str, np.ndarray] = {}
 
 
 def make_filter_pair(basis_name: str) -> FilterPair:
@@ -178,11 +184,9 @@ def make_filter_pair(basis_name: str) -> FilterPair:
     rec, rden, rlo = _REC_LO[basis_name]
     g, g_lo = _alt_reflect(_values(rec, rden), rlo, 1, 0)
     _check_pair(basis_name, h, h_lo, g, g_lo)
-    unit = h / h.sum()
-    for a in (h, g, unit):
+    for a in (h, g):
         a.flags.writeable = False
     pair = FilterPair(basis_name, h, g, h_origin=-h_lo, g_origin=-g_lo)
-    _UNIT_DC_CACHE[basis_name] = unit
     _PAIR_CACHE[basis_name] = pair
     return pair
 
@@ -193,8 +197,8 @@ def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2
     With unit_dc the 1D factor is divided by its sum first, so the kernel
     passes constants through unchanged; the scattering cascade uses this for
     every scale kernel.  unit_dc on the zero-sum wavelet kernel is rejected.
-    The kernel shares the pair's read-only arrays (or, for a cached pair,
-    its cached unit-DC factor), so building one allocates no array.
+    The kernel shares the pair's read-only arrays (h, g or the cached
+    unit_h), so building one allocates no array after the first.
     """
     if kind == SCALE:
         f, origin = pair.h, pair.h_origin
@@ -205,11 +209,7 @@ def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2
     if unit_dc:
         if kind != SCALE:
             raise DataError("unit_dc requires a scale kernel; the wavelet kernel has zero DC gain")
-        if pair is _PAIR_CACHE.get(pair.basis_name):
-            f = _UNIT_DC_CACHE[pair.basis_name]
-        else:
-            f = f / f.sum()
-            f.flags.writeable = False
+        f = pair.unit_h
     return Kernel2D(factor=f, kind=kind, origin=origin)
 
 

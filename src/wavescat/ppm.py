@@ -104,14 +104,17 @@ def load_image_channel(path, channel: str = "B") -> np.ndarray:
     """
     if channel not in CHANNELS:
         raise DataError(f"unknown channel {channel!r}; expected R, G or B")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] in (b"P5", b"P6"):
-        arr, maxval = _parse_pnm(data, path)
-    elif data[:8] == b"\x89PNG\r\n\x1a\n":
-        arr, maxval = _load_png(path), 255
-    else:
-        raise DataError(f"{path}: unsupported image format (magic {data[:2]!r})")
+    # dispatch on the magic before reading the rest; unbuffered, so a PNM
+    # comes back from one read with no buffer-join copy
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(8)
+        if head[:2] in (b"P5", b"P6"):
+            fh.seek(0)
+            arr, maxval = _parse_pnm(fh.read(), path)
+        elif head == b"\x89PNG\r\n\x1a\n":
+            arr, maxval = _load_png(path), 255
+        else:
+            raise DataError(f"{path}: unsupported image format (magic {head[:2]!r})")
     if arr.ndim == 3:
         arr = arr[:, :, CHANNELS[channel]]
     return np.divide(arr, maxval, dtype=np.float64)

@@ -166,12 +166,13 @@ _BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=64)
-def _coefficients(factor: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """A 1D factor's taps as read-only 0-d float64 arrays.  A ufunc takes a
-    0-d array operand with less per-call work than a numpy scalar, and at
-    64x64 the per-call work is most of a pass."""
-    taps = np.array(factor)
-    taps.flags.writeable = False
+def _coefficients(factor: bytes) -> tuple[np.ndarray, ...]:
+    """A 1D factor's taps, given as its float64 bytes, as read-only 0-d
+    float64 arrays.  Keyed on the bytes, not the values, so -0.0 and 0.0
+    taps stay apart.  A ufunc takes a 0-d array operand with less per-call
+    work than a numpy scalar, and at 64x64 the per-call work is most of a
+    pass."""
+    taps = np.frombuffer(factor, dtype=np.float64)
     return tuple(taps[t, ...] for t in range(len(taps)))
 
 
@@ -232,7 +233,8 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     s = int(decimate)
     if s < 1:
         raise DataError(f"decimate must be >= 1, got {decimate}")
-    c, o = _coefficients(tuple(kernel.factor.tolist())), kernel.origin
+    f = np.ascontiguousarray(kernel.factor, dtype=np.float64)
+    c, o = _coefficients(f.tobytes()), kernel.origin
     rows = _conv1d_decimated(x, c, o, boundary, s, axis=1, shape=x.shape)
     return _conv1d_decimated(rows, c, o, boundary, s, axis=0, shape=x.shape)
 

@@ -29,6 +29,7 @@ from wavescat.formats import (
 )
 from wavescat.mlp import MlpModel, init_model, models_equal
 from wavescat.pipeline import overlay_configs
+from wavescat import ppm
 from wavescat.ppm import load_image_channel, write_ppm
 from wavescat.scattering import ScatterConfig, feature_length
 
@@ -101,6 +102,31 @@ def test_pgm_sample_above_maxval_rejected(tmp_path):
     # header is 10 bytes, the second sample sits at offset 11
     with pytest.raises(DataError, match="sample above maxval 15 at byte offset 11"):
         load_image_channel(path, "B")
+
+
+def test_non_image_is_rejected_after_reading_only_its_magic(tmp_path, monkeypatch):
+    big = tmp_path / "big.bin"
+    big.write_bytes(b"XX" + bytes(1 << 20))
+    reads = []
+
+    class Spy:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, *size):
+            reads.append(size)
+            return self.fh.read(*size)
+
+    monkeypatch.setattr(ppm, "open", lambda *a, **kw: Spy(open(*a, **kw)), raising=False)
+    with pytest.raises(DataError, match="unsupported image format"):
+        load_image_channel(big, "B")
+    assert reads == [(8,)]
 
 
 def test_pnm_parse_errors_carry_offsets(tmp_path):

@@ -11,7 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from wavescat import scattering
 from wavescat.errors import DataError
-from wavescat.filters import BASES, SCALE, WAVELET_DIAGONAL, make_filter_pair, make_kernel2d
+from wavescat.filters import (
+    BASES,
+    SCALE,
+    WAVELET_DIAGONAL,
+    Kernel2D,
+    make_filter_pair,
+    make_kernel2d,
+)
 from wavescat.scattering import (
     ScatterConfig,
     cascade_steps,
@@ -197,6 +204,19 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     assert got.tobytes() == want.tobytes()
 
 
+def test_signed_zero_taps_are_not_merged_in_the_tap_cache():
+    x = np.random.default_rng(3).standard_normal((6, 7))
+    outs = set()
+    for factor in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]):
+        kern = Kernel2D(factor=np.array(factor), kind=SCALE, origin=0)
+        got = conv2_decimated(x, kern, "periodic", 1)
+        rows = _unblocked_pass(x, kern.factor, 0, "periodic", 1, axis=1)
+        want = _unblocked_pass(rows, kern.factor, 0, "periodic", 1, axis=0)
+        assert got.tobytes() == want.tobytes()
+        outs.add(got.tobytes())
+    assert len(outs) > 1  # the zeros' signs do reach the output
+
+
 def test_patched_block_changes_the_plan_blocks():
     kern = _kern("bior2.2", SCALE)
     x = np.random.default_rng(5).standard_normal((24, 40))
@@ -230,7 +250,7 @@ def test_pass_plans_are_read_only_and_the_cache_is_bounded():
     for n in range(1, limit + 20):
         scattering._pass_plan((n, 8), 2, 0, "periodic", 1, 0, 1 << 15)
     assert scattering._pass_plan.cache_info().currsize <= limit
-    coeffs = scattering._coefficients((0.5, -0.25))
+    coeffs = scattering._coefficients(np.array([0.5, -0.25]).tobytes())
     assert [float(c) for c in coeffs] == [0.5, -0.25]
     for c in coeffs:
         assert c.shape == () and not c.flags.writeable
