@@ -10,8 +10,9 @@ count is not stored; it is implied by the file size.
 
 Model file (magic IWSNML01): version byte 0x01, the number of dims as u64,
 the dims as u64 each, then per layer the weight matrix (row-major) and the
-bias vector as float64 little-endian.  The init seed is construction
-metadata and is not serialized.
+bias vector as float64 little-endian; the init seed is not kept.  After the
+same header checks, load_model reads it whole (training, bench), and
+apply_first_layer streams layer 0 through one fixed buffer (eval, infer).
 
 Manifest: one `path<TAB>label` record per line, UTF-8; relative paths are
 resolved against the manifest's directory.
@@ -28,12 +29,13 @@ import numpy as np
 
 from .errors import DataError
 from .filters import BASES
-from .mlp import MlpModel
+from .mlp import MlpModel, check_finite
 from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_names
 
 FEATURE_MAGIC = b"IWSNFV01"
 MODEL_MAGIC = b"IWSNML01"
 MODEL_VERSION = 1
+STREAM_BYTES = 8 << 20  # apply_first_layer's one read buffer for layer 0
 
 
 def selection_bitmask(depth: int, selection) -> int:
@@ -104,16 +106,16 @@ def read_features(path):
     selection = bitmask_selection(depth, mask)
     if veclen == 0:
         raise DataError(f"{path}: zero vector length at byte offset {pos - 8}")
-    body = data[pos:]
+    body = len(data) - pos
     # one record must fit the body, or, in a zero-record file, an array
-    if 4 * veclen > (len(body) or np.iinfo(np.intp).max):
+    if 4 * veclen > (body or np.iinfo(np.intp).max):
         raise DataError(f"{path}: vector length {veclen} does not fit the "
-                        f"{len(body)}-byte body at byte offset {pos - 8}")
-    if len(body) % (4 * veclen):
+                        f"{body}-byte body at byte offset {pos - 8}")
+    if body % (4 * veclen):
         raise DataError(
-            f"{path}: data size {len(body)} is not a whole number of "
+            f"{path}: data size {body} is not a whole number of "
             f"{veclen}-float records at byte offset {pos}")
-    vecs = np.frombuffer(body, dtype="<f4").reshape(-1, veclen)
+    vecs = np.frombuffer(data, dtype="<f4", offset=pos).reshape(-1, veclen)
     header = {"width": width, "height": height, "depth": depth,
               "bases": tuple(bases), "selection": selection, "veclen": veclen}
     return vecs, header
@@ -131,48 +133,87 @@ def save_model(model: MlpModel, path):
             fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
+def _read_model_header(fh, path):
+    """(dims, each layer's byte offset), every size checked before any allocation."""
+    size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: no layer fits
+    head = fh.read(17)
+    if head[:8] != MODEL_MAGIC:
+        raise DataError(f"{path}: bad magic {head[:8]!r}, expected {MODEL_MAGIC!r} at byte offset 0")
+    if len(head) < 9:
+        raise DataError(f"{path}: truncated before version byte at byte offset 8")
+    if head[8] != MODEL_VERSION:
+        raise DataError(f"{path}: unsupported version {head[8]} at byte offset 8")
+    if len(head) < 17:
+        raise DataError(f"{path}: truncated dim count at byte offset 9")
+    ndims = struct.unpack_from("<Q", head, 9)[0]
+    if not 2 <= ndims <= 64:
+        raise DataError(f"{path}: implausible dim count {ndims} at byte offset 9")
+    raw = fh.read(8 * ndims)
+    if len(raw) < 8 * ndims:
+        raise DataError(f"{path}: truncated dims at byte offset 17")
+    dims = struct.unpack(f"<{ndims}Q", raw)
+    pos = 17 + 8 * ndims
+    offsets = []
+    for j in range(ndims - 1):
+        offsets.append(pos)
+        pos += 8 * (dims[j] * dims[j + 1] + dims[j + 1])
+        if pos > size:
+            raise DataError(f"{path}: truncated layer {j} parameters at byte offset {offsets[j]}")
+    if pos != size:
+        raise DataError(f"{path}: {size - pos} trailing bytes at byte offset {pos}")
+    if 0 in dims:  # never written; (2**62, 0) passes every size check but cannot be shaped
+        raise DataError(f"{path}: zero dim at byte offset {17 + 8 * dims.index(0)}")
+    return dims, offsets
+
+
+def _fill(fh, path, j, offsets, array):
+    if fh.readinto(array) != array.nbytes:
+        raise DataError(f"{path}: truncated layer {j} parameters at byte offset {offsets[j]}")
+    return array
+
+
+def _read_layers(fh, path, dims, offsets, first):
+    """(weights, biases) of layers first..last, each read straight into place."""
+    weights, biases = [], []
+    for j in range(first, len(offsets)):
+        weights.append(_fill(fh, path, j, offsets, np.empty((dims[j], dims[j + 1]), "<f8")))
+        biases.append(_fill(fh, path, j, offsets, np.empty(dims[j + 1], "<f8")))
+    return weights, biases
+
+
 def load_model(path) -> MlpModel:
-    """Read a model file.  Every size is checked against the file size before
-    anything is allocated, then each array is read straight into place, so
+    """Read a whole model file; each array is read straight into place, so
     the peak is about one copy of the parameters."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: no layer fits
-        head = fh.read(17)
-        if head[:8] != MODEL_MAGIC:
-            raise DataError(f"{path}: bad magic {head[:8]!r}, expected {MODEL_MAGIC!r} at byte offset 0")
-        if len(head) < 9:
-            raise DataError(f"{path}: truncated before version byte at byte offset 8")
-        if head[8] != MODEL_VERSION:
-            raise DataError(f"{path}: unsupported version {head[8]} at byte offset 8")
-        if len(head) < 17:
-            raise DataError(f"{path}: truncated dim count at byte offset 9")
-        ndims = struct.unpack_from("<Q", head, 9)[0]
-        if not 2 <= ndims <= 64:
-            raise DataError(f"{path}: implausible dim count {ndims} at byte offset 9")
-        raw = fh.read(8 * ndims)
-        if len(raw) < 8 * ndims:
-            raise DataError(f"{path}: truncated dims at byte offset 17")
-        dims = struct.unpack(f"<{ndims}Q", raw)
-        pos = 17 + 8 * ndims
-        offsets = []
-        for j in range(ndims - 1):
-            offsets.append(pos)
-            pos += 8 * (dims[j] * dims[j + 1] + dims[j + 1])
-            if pos > size:
-                raise DataError(f"{path}: truncated layer {j} parameters at byte offset {offsets[j]}")
-        if pos != size:
-            raise DataError(f"{path}: {size - pos} trailing bytes at byte offset {pos}")
-        if 0 in dims:  # never written; (2**62, 0) passes every size check but cannot be shaped
-            raise DataError(f"{path}: zero dim at byte offset {17 + 8 * dims.index(0)}")
-        weights, biases = [], []
-        for j, off in enumerate(offsets):
-            w = np.empty((dims[j], dims[j + 1]), dtype="<f8")
-            b = np.empty(dims[j + 1], dtype="<f8")
-            if fh.readinto(w) != w.nbytes or fh.readinto(b) != b.nbytes:
-                raise DataError(f"{path}: truncated layer {j} parameters at byte offset {off}")
-            weights.append(w)
-            biases.append(b)
-    return MlpModel(tuple(int(d) for d in dims), weights, biases, seed=None)
+        dims, offsets = _read_model_header(fh, path)
+        return MlpModel(dims, *_read_layers(fh, path, dims, offsets, 0), seed=None)
+
+
+def apply_first_layer(path, x, check_dims):
+    """Layer 0 of a model file on the rows of x (float64), never held whole:
+    after load_model's header checks and check_dims(dims), z = sum over row
+    blocks of x[:, rows] @ W0[rows], each block finite-checked as it arrives
+    (one block: bitwise x @ W0).  Returns (ReLU(z + b0), the other layers as
+    an MlpModel), or (z + b0, None) for one layer; every error is load_model's."""
+    with open(path, "rb") as fh:
+        dims, offsets = _read_model_header(fh, path)
+        check_dims(dims)
+        n, m = dims[:2]
+        step = min(n, max(1, STREAM_BYTES // (8 * m)))  # rows per block
+        buf, z = np.empty(step * m, "<f8"), None
+        for r0 in range(0, n, step):
+            block = _fill(fh, path, 0, offsets, buf[:min(step, n - r0) * m].reshape(-1, m))
+            check_finite(0, block)
+            part = x[:, r0:r0 + len(block)] @ block
+            z = part if z is None else np.add(z, part, out=z)
+        b0 = _fill(fh, path, 0, offsets, np.empty(m, "<f8"))
+        weights, biases = _read_layers(fh, path, dims, offsets, 1)
+    for j, arrays in enumerate([(b0,), *zip(weights, biases)]):
+        check_finite(j, *arrays)  # in file order, so j is the layer's index in the file
+    z += b0
+    if len(dims) == 2:
+        return z, None
+    return np.maximum(z, 0.0), MlpModel(dims[1:], weights, biases)
 
 
 @dataclass(frozen=True)

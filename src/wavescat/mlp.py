@@ -41,10 +41,9 @@ class MlpModel:
                 raise DataError(
                     f"layer {j}: weight {w.shape} / bias {b.shape} do not chain "
                     f"{self.dims[j]}->{self.dims[j + 1]}")
-            # Load-bearing for frame speed: freeing this temporary (19 MB at 720p) raises glibc's
-            # dynamic mmap threshold, so later frame planes come from the heap without page faults.
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise DataError(f"layer {j}: non-finite parameters")
+            # Load-bearing for frame speed after load_model: freeing this 19 MB (720p) temporary
+            # lifts glibc's dynamic mmap threshold, so later frame planes skip page faults.
+            check_finite(j, w, b)
 
     @property
     def classes(self) -> int:
@@ -81,6 +80,11 @@ def init_model(dims, seed: int = 0) -> MlpModel:
         weights.append(rng.uniform(-a, a, size=(dims[j], dims[j + 1])))
         biases.append(np.zeros(dims[j + 1]))
     return MlpModel(dims, weights, biases, seed=seed)
+
+
+def check_finite(j: int, *arrays):  # j is the layer's index in the model file
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError(f"layer {j}: non-finite parameters")
 
 
 def _check_features(model: MlpModel, x: np.ndarray):

@@ -12,15 +12,17 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import synth
 from .errors import DataError, UndefinedMetricError
-from .formats import load_model, read_features, read_manifest, save_model, write_features
+from .formats import (apply_first_layer, load_model, read_features, read_manifest, save_model,
+                      write_features)
 from .metrics import (ConfusionMatrix, acc, binary_tally, confusion_from_predictions,
                       multiclass_accuracy, ppv, tpr)
-from .mlp import (HIDDEN, MlpModel, TrainConfig, init_model, mlp_forward, predict, softmax,
+from .mlp import (HIDDEN, TrainConfig, init_model, mlp_forward, predict, softmax,
                   split_train_test, train)
 from .ppm import CHANNELS, load_image_channel
 from .scattering import ScatterConfig, feature_length, feature_vector, scatter
@@ -127,11 +129,14 @@ def load_labels(records, classes) -> np.ndarray:
     return out
 
 
-def _check_plane_dims(plane, config: PipelineConfig, path):
+def _load_plane(config: PipelineConfig, path):
+    """The config's channel of an image, which must have the config's dims."""
+    plane = load_image_channel(path, config.channel)
     h, w = plane.shape
     if (w, h) != (config.width, config.height):
         raise DataError(f"{path}: image is {w}x{h}, config expects "
                         f"{config.width}x{config.height}")
+    return plane
 
 
 def _check_feature_header(config: PipelineConfig, header, path):
@@ -170,9 +175,7 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     load_labels(records, config.classes)
 
     def work(rec):
-        plane = load_image_channel(rec.path, config.channel)
-        _check_plane_dims(plane, config, rec.path)
-        return extract_features(plane, config.scatter)
+        return extract_features(_load_plane(config, rec.path), config.scatter)
 
     vectors, failures = [], []
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -260,31 +263,20 @@ class EvalReport:
     per_class: tuple
 
 
-def _load_model_for(config: PipelineConfig, model_path) -> MlpModel:
-    """Load a model and check that it fits the config's features and classes."""
-    model = load_model(model_path)
+def _check_model_fits(config: PipelineConfig, model_path, dims):
+    """A model's dims must fit the config's feature length and classes."""
     expect = feature_length(config.width, config.height, config.scatter)
-    if model.dims[0] != expect:
-        raise DataError(f"{model_path}: model expects {model.dims[0]} inputs, config "
-                        f"implies {expect}")
-    if model.classes != len(config.classes):
-        raise DataError(f"{model_path}: model has {model.classes} outputs, config names "
+    if dims[0] != expect:
+        raise DataError(f"{model_path}: model expects {dims[0]} inputs, config implies {expect}")
+    if dims[-1] != len(config.classes):
+        raise DataError(f"{model_path}: model has {dims[-1]} outputs, config names "
                         f"{len(config.classes)} classes")
-    return model
-
-
-def _load_frame(config: PipelineConfig, model_path, image_path):
-    """(plane, model): the image is loaded and its dims checked first, so a
-    wrong-size image is reported as such rather than as a model mismatch."""
-    plane = load_image_channel(image_path, config.channel)
-    _check_plane_dims(plane, config, image_path)
-    return plane, _load_model_for(config, model_path)
 
 
 def run_eval(config: PipelineConfig, features_path, manifest_path, model_path) -> EvalReport:
     vecs, labels = _load_aligned(config, features_path, manifest_path)
-    model = _load_model_for(config, model_path)
-    mat = _confusion(config, labels, predict(model, vecs))
+    h, tail = apply_first_layer(model_path, vecs, partial(_check_model_fits, config, model_path))
+    mat = _confusion(config, labels, np.argmax(h, axis=1) if tail is None else predict(tail, h))
     return EvalReport(len(labels), multiclass_accuracy(mat), mat, _per_class_rows(mat))
 
 
@@ -296,8 +288,9 @@ class InferResult:
 
 
 def run_infer(config: PipelineConfig, model_path, image_path) -> InferResult:
-    plane, model = _load_frame(config, model_path, image_path)
-    scores = mlp_forward(model, extract_features(plane, config.scatter))
+    x = extract_features(_load_plane(config, image_path), config.scatter)[None, :]
+    h, tail = apply_first_layer(model_path, x, partial(_check_model_fits, config, model_path))
+    scores = h[0] if tail is None else mlp_forward(tail, h[0])
     probs = softmax(scores)
     return InferResult(str(image_path), config.classes[int(np.argmax(scores))],
                        tuple(float(p) for p in probs))
@@ -319,7 +312,9 @@ class BenchReport:
 def run_bench(config: PipelineConfig, model_path, image_path, frames: int) -> BenchReport:
     if frames < 1:
         raise DataError(f"frames must be >= 1, got {frames}")
-    plane, model = _load_frame(config, model_path, image_path)
+    plane = _load_plane(config, image_path)
+    model = load_model(model_path)
+    _check_model_fits(config, model_path, model.dims)
 
     def one_frame(_i):
         t0 = time.perf_counter()

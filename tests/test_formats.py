@@ -2,20 +2,25 @@
 round trips, plus mutation fuzz of every parser."""
 
 import os
+import re
 import struct
+import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavescat import formats
 from wavescat.errors import DataError, NumericError
 from wavescat.flops import NetworkSpec, network_flops, parse_layers
 from wavescat.formats import (
     FEATURE_MAGIC,
     MODEL_MAGIC,
     ManifestRecord,
+    apply_first_layer,
     bitmask_selection,
     load_model,
     parse_config_file,
@@ -27,8 +32,10 @@ from wavescat.formats import (
     write_features,
     write_manifest,
 )
-from wavescat.mlp import MlpModel, init_model, models_equal
-from wavescat.pipeline import overlay_configs
+from wavescat.mlp import MlpModel, init_model, mlp_forward, models_equal, softmax
+from wavescat.mlp import predict as mlp_predict
+from wavescat.pipeline import (PipelineConfig, extract_features, overlay_configs, run_eval,
+                               run_infer)
 from wavescat import ppm
 from wavescat.ppm import load_image_channel, write_ppm
 from wavescat.scattering import ScatterConfig, feature_length
@@ -156,12 +163,88 @@ def test_pnm_parse_errors_carry_offsets(tmp_path):
         load_image_channel(non_int, "B")
 
 
-def test_png_round_trip_when_pillow_present(tmp_path):
-    PIL = pytest.importorskip("PIL.Image")
-    rgb = np.random.default_rng(2).integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
+
+
+class _StubImage:
+    """The part of PIL.Image that the PNG branch touches.  save() writes only
+    the PNG magic and keeps the image under its path for open(); convert()
+    records the mode asked for and returns the array stored for that mode."""
+
+    saved = {}
+
+    def __init__(self, mode, arrays):
+        self.mode, self.arrays, self.asked = mode, arrays, []
+
+    @classmethod
+    def fromarray(cls, arr):
+        mode = "RGB" if arr.ndim == 3 else "L"
+        return cls(mode, {mode: arr})
+
+    @classmethod
+    def open(cls, path):
+        return cls.saved[str(path)]
+
+    def save(self, path):
+        with open(path, "wb") as fh:
+            fh.write(PNG_MAGIC)
+        self.saved[str(path)] = self
+
+    def convert(self, mode):
+        self.asked.append(mode)
+        return self.arrays[mode]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def _stub_pillow(monkeypatch):
+    pil = types.ModuleType("PIL")
+    pil.Image = _StubImage  # `from PIL import Image` reads this attribute
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    monkeypatch.setattr(_StubImage, "saved", {})
+    return _StubImage
+
+
+def test_png_round_trip(tmp_path, monkeypatch):
+    """Through real Pillow when it is installed, else through the stub."""
+    try:
+        from PIL import Image
+    except ImportError:
+        Image = _stub_pillow(monkeypatch)
+    rng = np.random.default_rng(2)
+    rgb = rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+    gray = rng.integers(0, 256, size=(4, 7), dtype=np.uint8)
+    Image.fromarray(rgb).save(tmp_path / "rgb.png")
+    Image.fromarray(gray).save(tmp_path / "gray.png")
+    assert np.array_equal(load_image_channel(tmp_path / "rgb.png", "G"), rgb[:, :, 1] / 255.0)
+    assert np.array_equal(load_image_channel(tmp_path / "gray.png", "R"), gray / 255.0)
+
+
+@pytest.mark.parametrize("mode,asked", [("L", "L"), ("I;16", "L"), ("I", "L"), ("1", "L"),
+                                        ("RGB", "RGB"), ("RGBA", "RGB"), ("P", "RGB")])
+def test_png_modes_map_to_gray_or_rgb(tmp_path, monkeypatch, mode, asked):
+    stub = _stub_pillow(monkeypatch)
+    rng = np.random.default_rng(3)
+    arr = rng.integers(0, 256, size=(3, 4, 3) if asked == "RGB" else (3, 4), dtype=np.uint8)
+    img = stub(mode, {asked: arr})
+    img.save(tmp_path / "img.png")
+    for ch, idx in (("R", 0), ("G", 1), ("B", 2)):
+        got = load_image_channel(tmp_path / "img.png", ch)
+        want = arr[:, :, idx] if asked == "RGB" else arr  # gray ignores the selector
+        assert got.dtype == np.float64 and got.tobytes() == (want / 255.0).tobytes()
+    assert img.asked == [asked] * 3
+
+
+def test_png_without_pillow_is_a_data_error(tmp_path, monkeypatch):
     path = tmp_path / "img.png"
-    PIL.fromarray(rgb, mode="RGB").save(path)
-    assert np.array_equal(load_image_channel(path, "G"), rgb[:, :, 1] / 255.0)
+    path.write_bytes(PNG_MAGIC + bytes(16))
+    monkeypatch.setitem(sys.modules, "PIL", None)  # import fails as if not installed
+    with pytest.raises(DataError, match=r"img\.png: PNG input needs the optional Pillow"):
+        load_image_channel(path, "B")
 
 
 def test_unknown_channel_rejected(tmp_path):
@@ -322,6 +405,13 @@ def test_read_features_rejects_oversized_vector_length(tmp_path, records, veclen
     path.write_bytes(raw[:48] + struct.pack("<Q", veclen) + raw[56:])
     with pytest.raises(DataError, match=f"vector length {veclen} does not fit .* byte offset 48"):
         read_features(path)
+
+
+def test_read_features_peaks_near_one_copy_of_the_file(tmp_path):
+    # 64 records of 16384 floats: the records are a view of the file's bytes
+    path = tmp_path / "big.feat"
+    write_features(path, np.ones((64, 16384)), 256, 256, TINY)
+    assert _traced_peak(read_features, path) < 1.2 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +600,134 @@ def test_load_model_mutations_load_or_raise_data_error(tmp_path_factory, data):
     # a file that loads is a well-formed model file and saves back unchanged
     save_model(model, path)
     assert path.read_bytes() == data
+
+
+# ---------------------------------------------------------------------------
+# the streamed first layer (eval and infer)
+
+
+def _no_check(dims):
+    return None
+
+
+def test_apply_first_layer_sums_blocks_in_row_order(tmp_path, monkeypatch):
+    model = init_model((17, 3, 2), seed=8)
+    model.biases[0][:] = [0.5, -4.0, 0.25]
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    x = np.random.default_rng(8).normal(size=(4, 17))
+    w, b = model.weights[0], model.biases[0]
+    for rows in (5, 17, 1):  # 4 blocks with a short last one; one block; one row per block
+        monkeypatch.setattr(formats, "STREAM_BYTES", 8 * 3 * rows)
+        z = x[:, :rows] @ w[:rows]
+        for r0 in range(rows, 17, rows):
+            z += x[:, r0:r0 + rows] @ w[r0:r0 + rows]
+        h, tail = apply_first_layer(path, x, _no_check)
+        assert h.tobytes() == np.maximum(z + b, 0.0).tobytes()
+        assert tail.dims == (3, 2) and models_equal(tail, MlpModel((3, 2), model.weights[1:],
+                                                                   model.biases[1:]))
+    monkeypatch.setattr(formats, "STREAM_BYTES", 1)  # a buffer smaller than one row holds one
+    assert apply_first_layer(path, x, _no_check)[0].tobytes() == h.tobytes()
+
+
+def test_apply_first_layer_of_a_one_layer_model_returns_scores(tmp_path):
+    model = init_model((6, 4), seed=2)
+    model.biases[0][:] = -1.0
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    x = np.random.default_rng(2).normal(size=(3, 6))
+    scores, tail = apply_first_layer(path, x, _no_check)
+    assert tail is None
+    assert scores.tobytes() == (x @ model.weights[0] + model.biases[0]).tobytes()
+
+
+def test_apply_first_layer_checks_dims_before_reading_parameters(tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    save_model(init_model((6, 4, 2), seed=2), path)
+    seen = []
+
+    def refuse(dims):
+        seen.append(dims)
+        raise DataError("does not fit")
+
+    monkeypatch.setattr(np, "empty", lambda *a, **kw: pytest.fail("read parameters first"))
+    with pytest.raises(DataError, match="does not fit"):
+        apply_first_layer(path, np.ones((1, 6)), refuse)
+    assert seen == [(6, 4, 2)]
+
+
+# the eval config of the streamed fuzz: 8x8 images, one U1 plane, 16 features
+STREAM_CFG = PipelineConfig(width=8, height=8, scatter=TINY, classes=("a", "b"))
+# weights in [1, 2) put 0x3f high bytes in the file, so one flip (^ 0x40) can
+# make an inf or a NaN in any layer
+STREAM_RAW = (_model_file((16, 3, 2))
+              + np.linspace(1.0, 2.0, 16 * 3 + 3 + 3 * 2 + 2, endpoint=False).astype("<f8").tobytes())
+
+
+def _stream_inputs(root):
+    feat, manifest = root / "stream.feat", root / "stream.tsv"
+    write_features(feat, np.random.default_rng(5).normal(size=(3, 16)), 8, 8, TINY)
+    manifest.write_text("x.ppm\ta\ny.ppm\tb\nz.ppm\ta\n")
+    return feat, manifest
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_mutated(STREAM_RAW))
+def test_eval_mutated_models_raise_load_model_or_fit_errors(tmp_path_factory, data):
+    feat, manifest = _stream_inputs(tmp_path_factory.getbasetemp())
+    path = _fuzz_file(tmp_path_factory, data)
+    try:
+        held, want = load_model(path), None
+    except DataError as exc:
+        held, want = None, str(exc)
+    misfit = re.compile(re.escape(str(path)) + r": model (expects \d+ inputs, config implies 16"
+                        r"|has \d+ outputs, config names 2 classes)")
+    try:
+        report = run_eval(STREAM_CFG, feat, manifest, path)
+    except DataError as exc:
+        if str(exc) != want:
+            # the fit check runs after the header checks and before any parameter is read
+            assert misfit.fullmatch(str(exc))
+            assert held is None and want.endswith("non-finite parameters") or (
+                held is not None and (held.dims[0], held.classes) != (16, 2))
+        return
+    assert held is not None and report.count == 3
+
+
+def test_eval_and_infer_take_a_one_layer_model(tmp_path):
+    model = init_model((16, 2), seed=4)
+    model.biases[0][:] = [0.25, -0.5]
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    feat, manifest = _stream_inputs(tmp_path)
+    held = mlp_predict(model, read_features(feat)[0].astype(np.float64))
+    report = run_eval(STREAM_CFG, feat, manifest, path)
+    assert report.count == 3 and report.accuracy == np.mean(held == [0, 1, 0])
+    image = tmp_path / "x.ppm"
+    write_ppm(image, np.random.default_rng(4).integers(0, 256, (8, 8, 3), dtype=np.uint8))
+    x = extract_features(load_image_channel(image, "B"), TINY)
+    want = softmax(mlp_forward(model, x))
+    assert run_infer(STREAM_CFG, path, image).scores == tuple(float(p) for p in want)
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2])
+@pytest.mark.parametrize("part", ["weights", "biases"])
+def test_streamed_head_names_the_non_finite_layer(tmp_path, layer, part):
+    model = init_model((16, 4, 3, 2), seed=1)
+    getattr(model, part)[layer].flat[-1] = np.inf
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    feat, manifest = _stream_inputs(tmp_path)
+    image = tmp_path / "x.ppm"
+    write_ppm(image, np.zeros((8, 8, 3), dtype=np.uint8))
+    with pytest.raises(DataError) as held:
+        load_model(path)
+    assert str(held.value) == f"layer {layer}: non-finite parameters"
+    for run in (lambda: run_eval(STREAM_CFG, feat, manifest, path),
+                lambda: run_infer(STREAM_CFG, path, image)):
+        with pytest.raises(DataError) as streamed:
+            run()
+        assert str(streamed.value) == str(held.value)
 
 
 # ---------------------------------------------------------------------------

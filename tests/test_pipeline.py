@@ -5,6 +5,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from wavescat import pipeline, synth
 from wavescat.errors import DataError
-from wavescat.formats import load_model, read_features, read_manifest, save_model
-from wavescat.mlp import TrainConfig, init_model, models_equal
+from wavescat.formats import (STREAM_BYTES, ManifestRecord, apply_first_layer, load_model,
+                              read_features, read_manifest, save_model, write_manifest)
+from wavescat.metrics import multiclass_accuracy
+from wavescat.mlp import (TrainConfig, _forward_batch, init_model, mlp_forward, models_equal,
+                          predict, softmax)
 from wavescat.pipeline import (
     CONFIG_KEYS,
     HIDDEN,
@@ -154,9 +159,9 @@ def test_synth_is_bitwise_deterministic(tmp_path):
     b = synth.synth_dataset(tmp_path / "b", per_class=2, seed=5)
     for ra, rb in zip(read_manifest(a), read_manifest(b)):
         assert os.path.basename(ra.path) == os.path.basename(rb.path)
-        assert open(ra.path, "rb").read() == open(rb.path, "rb").read()
+        assert Path(ra.path).read_bytes() == Path(rb.path).read_bytes()
     c = synth.synth_dataset(tmp_path / "c", per_class=2, seed=6)
-    diff = [open(r.path, "rb").read() != open(r2.path, "rb").read()
+    diff = [Path(r.path).read_bytes() != Path(r2.path).read_bytes()
             for r, r2 in zip(read_manifest(a), read_manifest(c))]
     assert any(diff)
 
@@ -198,7 +203,7 @@ def test_extract_thread_count_does_not_change_bytes(dataset, features, tmp_path)
     out = tmp_path / "threads4.feat"
     report = run_extract(PipelineConfig(width=64, height=64, threads=4), dataset, out)
     assert report.failures == ()
-    assert out.read_bytes() == open(features, "rb").read()
+    assert out.read_bytes() == features.read_bytes()
 
 
 def test_extract_records_failures_and_skips(dataset, tmp_path):
@@ -208,7 +213,7 @@ def test_extract_records_failures_and_skips(dataset, tmp_path):
     manifest = work / "manifest.tsv"
     rows = [f"{r.path}\t{r.label}" for r in records[:4]]
     truncated = work / "short.ppm"
-    truncated.write_bytes(open(records[0].path, "rb").read()[:40])
+    truncated.write_bytes(Path(records[0].path).read_bytes()[:40])
     rows.insert(2, f"{truncated}\tkite")
     small = work / "small.ppm"
     write_ppm(small, np.zeros((8, 8, 3), dtype=np.uint8))
@@ -361,6 +366,90 @@ def test_infer_zero_model_gives_uniform_scores(dataset, tmp_path):
     result = run_infer(CFG64, path, records[5].path)
     assert result.scores == (0.2,) * 5
     assert result.label == synth.CLASSES[0]
+
+
+# ---------------------------------------------------------------------------
+# eval and infer stream the model's layer 0 from its file
+
+
+def _held_eval(config, features_path, manifest_path, model_path):
+    """The reference for run_eval: predict on the model held whole (compare
+    reports by repr; the confusion matrix is an array)."""
+    vecs, labels = pipeline._load_aligned(config, features_path, manifest_path)
+    mat = pipeline._confusion(config, labels, predict(load_model(model_path), vecs))
+    return pipeline.EvalReport(len(labels), multiclass_accuracy(mat), mat,
+                               pipeline._per_class_rows(mat))
+
+
+def _held_probs(config, model_path, image_path):
+    plane = load_image_channel(image_path, config.channel)
+    return softmax(mlp_forward(load_model(model_path), extract_features(plane, config.scatter)))
+
+
+def test_streamed_head_is_bitwise_when_layer0_fits_one_block(dataset, features, trained):
+    path, model, _ = trained
+    assert 8 * model.dims[0] * model.dims[1] <= STREAM_BYTES
+    held = _held_eval(CFG64, features, dataset, path)
+    assert repr(run_eval(CFG64, features, dataset, path)) == repr(held)
+    vecs = read_features(features)[0].astype(np.float64)
+    h, tail = apply_first_layer(path, vecs, lambda dims: None)
+    assert _forward_batch(tail, h)[0].tobytes() == _forward_batch(model, vecs)[0].tobytes()
+    for rec in read_manifest(dataset)[:6]:
+        want = tuple(float(p) for p in _held_probs(CFG64, path, rec.path))
+        assert run_infer(CFG64, path, rec.path).scores == want
+
+
+CFG512 = PipelineConfig(width=512, height=512)
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """A 512x512 pipeline: its layer 0 (86016x64, 44 MB) spans six blocks."""
+    root = tmp_path_factory.mktemp("wide")
+    records = []
+    for i, label in enumerate(synth.CLASSES[:4]):
+        path = root / f"{label}.ppm"
+        write_ppm(path, synth.render_image(label, np.random.default_rng([9, i]), 512, 512))
+        records.append(ManifestRecord(str(path), label))
+    manifest, feat, model = root / "m.tsv", root / "f.feat", root / "m.bin"
+    write_manifest(manifest, records)
+    assert run_extract(CFG512, manifest, feat).failures == ()
+    veclen = feature_length(512, 512, CFG512.scatter)
+    save_model(init_model((veclen, *HIDDEN, 5), seed=1), model)
+    return manifest, feat, model
+
+
+def test_streamed_head_over_many_blocks_keeps_decisions(wide):
+    manifest, feat, path = wide
+    veclen = feature_length(512, 512, CFG512.scatter)
+    blocks = -(-veclen // (STREAM_BYTES // (8 * HIDDEN[0])))
+    assert blocks >= 4
+    # Set before the test was written: each block adds one rounding of the
+    # running sum, and 64 covers partial sums larger than the result.
+    tol = 64 * blocks * np.finfo(np.float64).eps
+    held = _held_eval(CFG512, feat, manifest, path)
+    assert repr(run_eval(CFG512, feat, manifest, path)) == repr(held)
+    for rec in read_manifest(manifest):
+        want = _held_probs(CFG512, path, rec.path)
+        got = run_infer(CFG512, path, rec.path)
+        assert got.label == CFG512.classes[int(np.argmax(want))]
+        assert np.abs(np.array(got.scores) - want).max() <= tol
+
+
+def test_streamed_head_peaks_below_half_a_layer0_copy(wide):
+    manifest, feat, path = wide
+    half_layer0 = 8 * feature_length(512, 512, CFG512.scatter) * HIDDEN[0] / 2
+    image = read_manifest(manifest)[0].path
+    for run in (lambda: run_eval(CFG512, feat, manifest, path),
+                lambda: run_infer(CFG512, path, image)):
+        run()  # tap and plan caches fill outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < half_layer0
 
 
 # ---------------------------------------------------------------------------
