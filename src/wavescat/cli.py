@@ -162,7 +162,7 @@ def _cmd_bench(args):
     report = run_bench(pcfg, args.model, args.image, args.frames)
     w, h = report.image_dims
     ms = report.wall_seconds / report.frames_processed * 1e3
-    print(f"image {w}x{h}, {report.frames_processed} frames, {pcfg.threads} thread(s)")
+    print(f"image {w}x{h}, {report.frames_processed} frames, 1 thread")
     print(f"wall {report.wall_seconds:.6f} s, {report.fps:.2f} fps, {ms:.3f} ms/frame")
     print(f"extract {report.per_stage_ms[0]:.3f} ms/frame, "
           f"classify {report.per_stage_ms[1]:.3f} ms/frame")
@@ -174,7 +174,6 @@ def _cmd_bench(args):
     if args.csv:
         rows = [("summary", "width", "", w), ("summary", "height", "", h),
                 ("summary", "frames", "", report.frames_processed),
-                ("summary", "threads", "", pcfg.threads),
                 ("summary", "wall_seconds", "", report.wall_seconds),
                 ("summary", "fps", "", report.fps),
                 ("summary", "ms_per_frame", "", ms),
@@ -268,8 +267,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True, metavar="PATH")
     sp.add_argument("--csv", metavar="PATH")
 
-    sp = command("bench", "extract+classify throughput on one image", _cmd_bench,
-                 "config", "threads")
+    sp = command("bench", "extract+classify throughput on one image", _cmd_bench, "config")
     sp.add_argument("--model", required=True, metavar="PATH")
     sp.add_argument("--image", required=True, metavar="PATH")
     sp.add_argument("--frames", type=int, default=100, metavar="N")

@@ -11,8 +11,8 @@ count is not stored; it is implied by the file size.
 Model file (magic IWSNML01): version byte 0x01, the number of dims as u64,
 the dims as u64 each, then per layer the weight matrix (row-major) and the
 bias vector as float64 little-endian; the init seed is not kept.  After the
-same header checks, load_model reads it whole (training, bench), and
-apply_first_layer streams layer 0 through one fixed buffer (eval, infer).
+same header checks, load_model reads it for inference (bench), layer 0 in
+float32, and apply_first_layer streams layer 0 in float64 (eval, infer).
 
 Manifest: one `path<TAB>label` record per line, UTF-8; relative paths are
 resolved against the manifest's directory.
@@ -35,7 +35,7 @@ from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_name
 FEATURE_MAGIC = b"IWSNFV01"
 MODEL_MAGIC = b"IWSNML01"
 MODEL_VERSION = 1
-STREAM_BYTES = 8 << 20  # apply_first_layer's one read buffer for layer 0
+STREAM_BYTES = 8 << 20  # the one float64 read buffer for layer 0
 
 
 def selection_bitmask(depth: int, selection) -> int:
@@ -172,42 +172,58 @@ def _fill(fh, path, j, offsets, array):
     return array
 
 
-def _read_layers(fh, path, dims, offsets, first):
-    """(weights, biases) of layers first..last, each read straight into place."""
-    weights, biases = [], []
-    for j in range(first, len(offsets)):
+def _layer0_blocks(fh, path, offsets, n, m):
+    """(rows, float64 block) of layer 0, read through one reusable STREAM_BYTES buffer."""
+    buf = np.empty((min(n, max(1, STREAM_BYTES // (8 * m))), m), "<f8")  # one block's rows
+    for r0 in range(0, n, len(buf)):
+        rows = slice(r0, min(r0 + len(buf), n))
+        yield rows, _fill(fh, path, 0, offsets, buf[:rows.stop - r0])
+
+
+def _float32(block, out):
+    """block cast into out: layer 0 is valid only if this cast is finite, for every reader."""
+    with np.errstate(over="ignore"):  # beyond float32's range is inf, not a RuntimeWarning
+        out[...] = block
+    return out
+
+
+def _read_rest(fh, path, dims, offsets):
+    """(b0, weights, biases of layers 1..last), each read straight into place."""
+    b0, weights, biases = _fill(fh, path, 0, offsets, np.empty(dims[1], "<f8")), [], []
+    for j in range(1, len(offsets)):
         weights.append(_fill(fh, path, j, offsets, np.empty((dims[j], dims[j + 1]), "<f8")))
         biases.append(_fill(fh, path, j, offsets, np.empty(dims[j + 1], "<f8")))
-    return weights, biases
+    return b0, weights, biases
 
 
 def load_model(path) -> MlpModel:
-    """Read a whole model file; each array is read straight into place, so
-    the peak is about one copy of the parameters."""
+    """The inference loader: layer 0 is cast to float32 block by block as it is read (the
+    peak is about half a float64 copy plus one buffer); the rest stays float64."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
-        return MlpModel(dims, *_read_layers(fh, path, dims, offsets, 0), seed=None)
+        w0 = np.empty(dims[:2], np.float32)
+        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
+            _float32(block, w0[rows])
+        del block  # frees the read buffer before MlpModel's finite check allocates
+        b0, weights, biases = _read_rest(fh, path, dims, offsets)
+    return MlpModel(dims, [w0, *weights], [b0, *biases], seed=None)
 
 
 def apply_first_layer(path, x, check_dims):
     """Layer 0 of a model file on the rows of x (float64), never held whole:
     after load_model's header checks and check_dims(dims), z = sum over row
-    blocks of x[:, rows] @ W0[rows], each block finite-checked as it arrives
-    (one block: bitwise x @ W0).  Returns (ReLU(z + b0), the other layers as
-    an MlpModel), or (z + b0, None) for one layer; every error is load_model's."""
+    blocks of x[:, rows] @ W0[rows], each block finite-checked in float32 as it
+    arrives (one block: bitwise x @ W0).  Returns (ReLU(z + b0), the other layers
+    as an MlpModel), or (z + b0, None) for one layer; every error is load_model's."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
         check_dims(dims)
-        n, m = dims[:2]
-        step = min(n, max(1, STREAM_BYTES // (8 * m)))  # rows per block
-        buf, z = np.empty(step * m, "<f8"), None
-        for r0 in range(0, n, step):
-            block = _fill(fh, path, 0, offsets, buf[:min(step, n - r0) * m].reshape(-1, m))
-            check_finite(0, block)
-            part = x[:, r0:r0 + len(block)] @ block
+        z = None
+        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
+            check_finite(0, _float32(block, np.empty(block.shape, np.float32)))
+            part = x[:, rows] @ block
             z = part if z is None else np.add(z, part, out=z)
-        b0 = _fill(fh, path, 0, offsets, np.empty(m, "<f8"))
-        weights, biases = _read_layers(fh, path, dims, offsets, 1)
+        b0, weights, biases = _read_rest(fh, path, dims, offsets)
     for j, arrays in enumerate([(b0,), *zip(weights, biases)]):
         check_finite(j, *arrays)  # in file order, so j is the layer's index in the file
     z += b0

@@ -3,6 +3,7 @@
 Row-vector convention throughout: Y = XW + b with W stored (inputs, outputs),
 so a batch is (B, inputs) @ (inputs, outputs).  Training runs in float64;
 the loss is softmax cross-entropy, computed with the usual logsumexp shift.
+Each layer casts its input to its weights' dtype (load_model's layer 0: float32).
 
 RNG streams are split by purpose so results never depend on call order:
 default_rng([seed, 0]) for the train/test split, [seed, 1] for weight init,
@@ -97,7 +98,7 @@ def _forward_batch(model: MlpModel, x: np.ndarray):
     acts = [x]
     a = x
     for j, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a.astype(w.dtype, copy=False) @ w + b
         if j < len(model.weights) - 1:
             a = np.maximum(z, 0.0)
             acts.append(a)

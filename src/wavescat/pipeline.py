@@ -298,9 +298,9 @@ def run_infer(config: PipelineConfig, model_path, image_path) -> InferResult:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """What is timed: channel plane already decoded; per frame, feature
-    extraction (scattering + vector assembly) and classification (MLP
-    forward).  File decode is excluded."""
+    """What is timed: channel plane already decoded; per frame, on one thread,
+    feature extraction (scattering + vector assembly) and classification (MLP
+    forward, layer 0 in float32 as load_model holds it).  File decode is excluded."""
 
     image_dims: tuple  # (width, height)
     frames_processed: int
@@ -316,21 +316,16 @@ def run_bench(config: PipelineConfig, model_path, image_path, frames: int) -> Be
     model = load_model(model_path)
     _check_model_fits(config, model_path, model.dims)
 
-    def one_frame(_i):
+    def one_frame():
         t0 = time.perf_counter()
         vec = extract_features(plane, config.scatter)
         t1 = time.perf_counter()
         mlp_forward(model, vec)
-        t2 = time.perf_counter()
-        return t1 - t0, t2 - t1
+        return t1 - t0, time.perf_counter() - t1
 
-    one_frame(-1)  # warmup: first-touch allocations stay out of the timings
+    one_frame()  # warmup: first-touch allocations stay out of the timings
     t_start = time.perf_counter()
-    if config.threads == 1:
-        stage_times = [one_frame(i) for i in range(frames)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            stage_times = list(pool.map(one_frame, range(frames)))
+    stage_times = [one_frame() for _ in range(frames)]
     wall = max(time.perf_counter() - t_start, 1e-9)
     extract_s = sum(t[0] for t in stage_times)
     classify_s = sum(t[1] for t in stage_times)

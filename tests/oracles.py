@@ -355,3 +355,28 @@ def brute_tally(pairs, positive):
         else:
             tn += 1
     return tp, fp, fn, tn
+
+
+# ---------------------------------------------------------------------------
+# the inference head: layer 0 in float32
+
+
+def assert_inference_copy(loaded, model):
+    """What formats.load_model must hold for a saved model: layer 0's weights
+    bitwise the saved ones cast to float32, every other array bitwise as saved."""
+    assert loaded.dims == model.dims
+    want = [model.weights[0].astype(np.float32), *model.weights[1:], *model.biases]
+    got = [*loaded.weights, *loaded.biases]
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def float32_head_score_bound(model, x):
+    """First-order bound on how far a float32 layer 0 moves the scores of the
+    rows of x: rounding x and W0 to float32 and summing n products in float32
+    move each pre-activation by at most (n + 2) * eps32 * (|x| @ |W0|); ReLU
+    does not grow that, and each later layer at most multiplies it by |W|."""
+    bound = (model.dims[0] + 2) * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(model.weights[0]))
+    for w in model.weights[1:]:
+        bound = bound @ np.abs(w)
+    return bound

@@ -134,13 +134,14 @@ def test_bench_output(ws, tmp_path, capsys):
                "--csv", str(report)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "image 64x64, 2 frames, 1 thread(s)" in out
+    assert "image 64x64, 2 frames, 1 thread\n" in out
     assert "ms/frame" in out
     assert "file decode excluded" in out
     assert "fps per GFLOPS (peak 3e+10)" in out
     with open(report, newline="") as fh:
         rows = {r[1]: r[3] for r in list(csv.reader(fh))[1:]}
     assert rows["frames"] == "2"
+    assert "threads" not in rows
     assert float(rows["fps"]) > 0
     assert "efficiency" in rows
 
@@ -300,6 +301,7 @@ def test_config_key_error_exit(ws, tmp_path, capsys):
     ["eval", "--features", "f", "--manifest", "m", "--model", "m", "--threads", "2"],
     ["eval", "--features", "f", "--manifest", "m", "--model", "m", "--seed", "1"],
     ["bench", "--model", "m", "--image", "i", "--seed", "1"],
+    ["bench", "--model", "m", "--image", "i", "--threads", "2"],
     ["flops", "--pipeline", "--threads", "2"],
     ["flops", "--pipeline", "--seed", "1"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")

@@ -1,5 +1,7 @@
 """MLP forward/backward against straight-line and finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,26 @@ def test_float32_features_keep_scores_within_1e_minus3():
         full = mlp_forward(model, x)
         narrowed = mlp_forward(model, x.astype(np.float32).astype(np.float64))
         assert oracles.rel_err(narrowed, full) <= 1e-3
+
+
+def test_forward_on_a_float32_layer0_never_widens_it():
+    # formats.load_model's inference head: each layer casts its input to its
+    # weights' dtype, so W0 is read as float32 and never copied to float64
+    base = init_model((65536, 64, 16, 5), seed=9)
+    model = MlpModel(base.dims, [base.weights[0].astype(np.float32), *base.weights[1:]],
+                     base.biases)
+    x = np.random.default_rng(9).random(65536)
+    mlp_forward(model, x)  # first-call set-up stays outside the trace
+    tracemalloc.start()
+    try:
+        scores = mlp_forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.weights[0].nbytes / 4
+    assert scores.dtype == np.float64
+    assert (np.abs(scores - mlp_forward(base, x))
+            <= oracles.float32_head_score_bound(base, x)).all()
 
 
 def test_predict_takes_first_max_on_ties():

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from wavescat import pipeline, synth
 from wavescat.errors import DataError
 from wavescat.formats import (STREAM_BYTES, ManifestRecord, apply_first_layer, load_model,
                               read_features, read_manifest, save_model, write_manifest)
 from wavescat.metrics import multiclass_accuracy
-from wavescat.mlp import (TrainConfig, _forward_batch, init_model, mlp_forward, models_equal,
-                          predict, softmax)
+from wavescat.mlp import (TrainConfig, _forward_batch, init_model, mlp_forward, predict,
+                          softmax)
 from wavescat.pipeline import (
     CONFIG_KEYS,
     HIDDEN,
@@ -276,8 +277,7 @@ def test_train_report_shapes(trained):
     assert len(report.per_class) == 5
     assert 0.0 <= report.train_accuracy <= 1.0
     assert 0.0 <= report.test_accuracy <= 1.0
-    on_disk = load_model(path)
-    assert models_equal(on_disk, model)
+    oracles.assert_inference_copy(load_model(path), model)
 
 
 def test_train_is_deterministic(dataset, features, tmp_path):
@@ -372,31 +372,41 @@ def test_infer_zero_model_gives_uniform_scores(dataset, tmp_path):
 # eval and infer stream the model's layer 0 from its file
 
 
-def _held_eval(config, features_path, manifest_path, model_path):
-    """The reference for run_eval: predict on the model held whole (compare
-    reports by repr; the confusion matrix is an array)."""
+def _held_eval(config, features_path, manifest_path, model):
+    """The reference for run_eval: predict on the saved float64 model held whole
+    (compare reports by repr; the confusion matrix is an array)."""
     vecs, labels = pipeline._load_aligned(config, features_path, manifest_path)
-    mat = pipeline._confusion(config, labels, predict(load_model(model_path), vecs))
+    mat = pipeline._confusion(config, labels, predict(model, vecs))
     return pipeline.EvalReport(len(labels), multiclass_accuracy(mat), mat,
                                pipeline._per_class_rows(mat))
 
 
-def _held_probs(config, model_path, image_path):
+def _held_probs(config, model, image_path):
     plane = load_image_channel(image_path, config.channel)
-    return softmax(mlp_forward(load_model(model_path), extract_features(plane, config.scatter)))
+    return softmax(mlp_forward(model, extract_features(plane, config.scatter)))
 
 
 def test_streamed_head_is_bitwise_when_layer0_fits_one_block(dataset, features, trained):
     path, model, _ = trained
     assert 8 * model.dims[0] * model.dims[1] <= STREAM_BYTES
-    held = _held_eval(CFG64, features, dataset, path)
+    held = _held_eval(CFG64, features, dataset, model)
     assert repr(run_eval(CFG64, features, dataset, path)) == repr(held)
     vecs = read_features(features)[0].astype(np.float64)
     h, tail = apply_first_layer(path, vecs, lambda dims: None)
     assert _forward_batch(tail, h)[0].tobytes() == _forward_batch(model, vecs)[0].tobytes()
     for rec in read_manifest(dataset)[:6]:
-        want = tuple(float(p) for p in _held_probs(CFG64, path, rec.path))
+        want = tuple(float(p) for p in _held_probs(CFG64, model, rec.path))
         assert run_infer(CFG64, path, rec.path).scores == want
+
+
+def test_float32_head_keeps_every_decision_on_the_trained_fixture(features, trained):
+    path, model, _ = trained
+    vecs = read_features(features)[0].astype(np.float64)
+    head = load_model(path)
+    assert head.weights[0].dtype == np.float32
+    assert np.array_equal(predict(head, vecs), predict(model, vecs))
+    moved = np.abs(_forward_batch(head, vecs)[0] - _forward_batch(model, vecs)[0])
+    assert (moved <= oracles.float32_head_score_bound(model, vecs)).all()
 
 
 CFG512 = PipelineConfig(width=512, height=512)
@@ -411,33 +421,33 @@ def wide(tmp_path_factory):
         path = root / f"{label}.ppm"
         write_ppm(path, synth.render_image(label, np.random.default_rng([9, i]), 512, 512))
         records.append(ManifestRecord(str(path), label))
-    manifest, feat, model = root / "m.tsv", root / "f.feat", root / "m.bin"
+    manifest, feat, path = root / "m.tsv", root / "f.feat", root / "m.bin"
     write_manifest(manifest, records)
     assert run_extract(CFG512, manifest, feat).failures == ()
-    veclen = feature_length(512, 512, CFG512.scatter)
-    save_model(init_model((veclen, *HIDDEN, 5), seed=1), model)
-    return manifest, feat, model
+    model = init_model((feature_length(512, 512, CFG512.scatter), *HIDDEN, 5), seed=1)
+    save_model(model, path)
+    return manifest, feat, path, model
 
 
 def test_streamed_head_over_many_blocks_keeps_decisions(wide):
-    manifest, feat, path = wide
+    manifest, feat, path, model = wide
     veclen = feature_length(512, 512, CFG512.scatter)
     blocks = -(-veclen // (STREAM_BYTES // (8 * HIDDEN[0])))
     assert blocks >= 4
     # Set before the test was written: each block adds one rounding of the
     # running sum, and 64 covers partial sums larger than the result.
     tol = 64 * blocks * np.finfo(np.float64).eps
-    held = _held_eval(CFG512, feat, manifest, path)
+    held = _held_eval(CFG512, feat, manifest, model)
     assert repr(run_eval(CFG512, feat, manifest, path)) == repr(held)
     for rec in read_manifest(manifest):
-        want = _held_probs(CFG512, path, rec.path)
+        want = _held_probs(CFG512, model, rec.path)
         got = run_infer(CFG512, path, rec.path)
         assert got.label == CFG512.classes[int(np.argmax(want))]
         assert np.abs(np.array(got.scores) - want).max() <= tol
 
 
 def test_streamed_head_peaks_below_half_a_layer0_copy(wide):
-    manifest, feat, path = wide
+    manifest, feat, path, _ = wide
     half_layer0 = 8 * feature_length(512, 512, CFG512.scatter) * HIDDEN[0] / 2
     image = read_manifest(manifest)[0].path
     for run in (lambda: run_eval(CFG512, feat, manifest, path),
