@@ -12,7 +12,10 @@ Model file (magic IWSNML01): version byte 0x01, the number of dims as u64,
 the dims as u64 each, then per layer the weight matrix (row-major) and the
 bias vector as float64 little-endian; the init seed is not kept.  After the
 same header checks, load_model reads it for inference (bench), layer 0 in
-float32, and apply_first_layer streams layer 0 in float64 (eval, infer).
+float32 and column-major: numpy hands that W0 to BLAS with a transpose flag
+and no copy, so x @ W0 runs BLAS's dot-product GEMV kernel, which streams it
+faster than the axpy-style one a row-major W0 gets (README: File formats).
+And apply_first_layer streams layer 0 in float64 (eval, infer).
 
 Manifest: one `path<TAB>label` record per line, UTF-8; relative paths are
 resolved against the manifest's directory.
@@ -35,7 +38,8 @@ from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_name
 FEATURE_MAGIC = b"IWSNFV01"
 MODEL_MAGIC = b"IWSNML01"
 MODEL_VERSION = 1
-STREAM_BYTES = 8 << 20  # the one float64 read buffer for layer 0
+STREAM_BYTES = 8 << 20  # eval and infer's float64 read block of layer 0: it fixes their sums' order
+LOAD_BYTES = 512 << 10  # load_model's: its transposing cast is fast while the block stays in cache
 
 
 def selection_bitmask(depth: int, selection) -> int:
@@ -172,9 +176,9 @@ def _fill(fh, path, j, offsets, array):
     return array
 
 
-def _layer0_blocks(fh, path, offsets, n, m):
-    """(rows, float64 block) of layer 0, read through one reusable STREAM_BYTES buffer."""
-    buf = np.empty((min(n, max(1, STREAM_BYTES // (8 * m))), m), "<f8")  # one block's rows
+def _layer0_blocks(fh, path, offsets, n, m, nbytes):
+    """(rows, float64 block) of layer 0, read through one reusable buffer of about nbytes."""
+    buf = np.empty((min(n, max(1, nbytes // (8 * m))), m), "<f8")  # one block's rows
     for r0 in range(0, n, len(buf)):
         rows = slice(r0, min(r0 + len(buf), n))
         yield rows, _fill(fh, path, 0, offsets, buf[:rows.stop - r0])
@@ -197,12 +201,14 @@ def _read_rest(fh, path, dims, offsets):
 
 
 def load_model(path) -> MlpModel:
-    """The inference loader: layer 0 is cast to float32 block by block as it is read (the
-    peak is about half a float64 copy plus one buffer); the rest stays float64."""
+    """The inference loader: layer 0 is cast to a column-major float32 matrix block by
+    block as it is read (the peak is about half a float64 copy plus one buffer); the rest
+    stays float64.  Each cast transposes, which is as fast as a plain one only while its
+    source block stays in cache, hence LOAD_BYTES rather than STREAM_BYTES."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
-        w0 = np.empty(dims[:2], np.float32)
-        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
+        w0 = np.empty(dims[1::-1], np.float32).T  # (n, m), column-major
+        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2], LOAD_BYTES):
             _float32(block, w0[rows])
         del block  # frees the read buffer before MlpModel's finite check allocates
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
@@ -219,7 +225,7 @@ def apply_first_layer(path, x, check_dims):
         dims, offsets = _read_model_header(fh, path)
         check_dims(dims)
         z = None
-        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
+        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2], STREAM_BYTES):
             check_finite(0, _float32(block, np.empty(block.shape, np.float32)))
             part = x[:, rows] @ block
             z = part if z is None else np.add(z, part, out=z)

@@ -528,6 +528,18 @@ def test_load_model_peak_stays_near_half_a_copy(tmp_path):
     oracles.assert_inference_copy(load_model(path), model)
 
 
+def test_load_model_does_not_depend_on_its_read_block(tmp_path, monkeypatch):
+    model = init_model((3000, 64, 5), seed=4)  # layer 0: 1.5 MB, several default blocks
+    assert 8 * model.weights[0].size > 2 * formats.LOAD_BYTES
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    for nbytes in (8 * 64, 8 * 64 * 7, formats.LOAD_BYTES):  # one row; 3000 = 428 * 7 + 4
+        monkeypatch.setattr(formats, "LOAD_BYTES", nbytes)
+        loaded = load_model(path)
+        assert loaded.weights[0].flags.f_contiguous
+        oracles.assert_inference_copy(loaded, model)
+
+
 def _model_file(dims, body=b""):
     return MODEL_MAGIC + b"\x01" + struct.pack(f"<{len(dims) + 1}Q", len(dims), *dims) + body
 

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from wavescat.errors import DataError, NumericError
+from wavescat.formats import load_model, save_model
 from wavescat.mlp import (
     MlpModel,
     TrainConfig,
@@ -90,6 +91,17 @@ def test_float32_features_keep_scores_within_1e_minus3():
         assert oracles.rel_err(narrowed, full) <= 1e-3
 
 
+def _forward_peak(model, x):
+    """(scores, tracemalloc's peak over one mlp_forward call after a warm-up call)."""
+    mlp_forward(model, x)  # first-call set-up stays outside the trace
+    tracemalloc.start()
+    try:
+        scores = mlp_forward(model, x)
+        return scores, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_forward_on_a_float32_layer0_never_widens_it():
     # formats.load_model's inference head: each layer casts its input to its
     # weights' dtype, so W0 is read as float32 and never copied to float64
@@ -97,15 +109,23 @@ def test_forward_on_a_float32_layer0_never_widens_it():
     model = MlpModel(base.dims, [base.weights[0].astype(np.float32), *base.weights[1:]],
                      base.biases)
     x = np.random.default_rng(9).random(65536)
-    mlp_forward(model, x)  # first-call set-up stays outside the trace
-    tracemalloc.start()
-    try:
-        scores = mlp_forward(model, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scores, peak = _forward_peak(model, x)
     assert peak < model.weights[0].nbytes / 4
     assert scores.dtype == np.float64
+    assert (np.abs(scores - mlp_forward(base, x))
+            <= oracles.float32_head_score_bound(base, x)).all()
+
+
+def test_forward_on_the_loaded_column_major_layer0_never_copies_it(tmp_path):
+    # load_model holds W0 column-major so BLAS runs its dot-product GEMV; numpy
+    # hands that operand over with a transpose flag, and a copy would add a W0
+    base = init_model((65536, 64, 16, 5), seed=9)
+    save_model(base, tmp_path / "m.bin")
+    model = load_model(tmp_path / "m.bin")
+    assert model.weights[0].flags.f_contiguous
+    x = np.random.default_rng(9).random(65536)
+    scores, peak = _forward_peak(model, x)
+    assert peak < model.weights[0].nbytes / 4
     assert (np.abs(scores - mlp_forward(base, x))
             <= oracles.float32_head_score_bound(base, x)).all()
 
