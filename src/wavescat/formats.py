@@ -10,12 +10,11 @@ count is not stored; it is implied by the file size.
 
 Model file (magic IWSNML01): version byte 0x01, the number of dims as u64,
 the dims as u64 each, then per layer the weight matrix (row-major) and the
-bias vector as float64 little-endian; the init seed is not kept.  After the
-same header checks, load_model reads it for inference (bench), layer 0 in
-float32 and column-major: numpy hands that W0 to BLAS with a transpose flag
-and no copy, so x @ W0 runs BLAS's dot-product GEMV kernel, which streams it
-faster than the axpy-style one a row-major W0 gets (README: File formats).
-And apply_first_layer streams layer 0 in float64 (eval, infer).
+bias vector as float64 little-endian; the init seed is not kept.  Inference
+reads layer 0 in float32 and column-major (load_model holds it whole for bench;
+apply_first_layer streams it for eval and infer): numpy hands that W0 to BLAS
+with a transpose flag and no copy, so x @ W0 runs BLAS's dot-product GEMV
+kernel, faster than the axpy-style one a row-major W0 gets (README: File formats).
 
 Manifest: one `path<TAB>label` record per line, UTF-8; relative paths are
 resolved against the manifest's directory.
@@ -38,8 +37,7 @@ from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_name
 FEATURE_MAGIC = b"IWSNFV01"
 MODEL_MAGIC = b"IWSNML01"
 MODEL_VERSION = 1
-STREAM_BYTES = 8 << 20  # eval and infer's float64 read block of layer 0: it fixes their sums' order
-LOAD_BYTES = 512 << 10  # load_model's: its transposing cast is fast while the block stays in cache
+LOAD_BYTES = 512 << 10  # layer 0's read block: its transposing cast is fast while it stays in cache
 
 
 def selection_bitmask(depth: int, selection) -> int:
@@ -176,9 +174,9 @@ def _fill(fh, path, j, offsets, array):
     return array
 
 
-def _layer0_blocks(fh, path, offsets, n, m, nbytes):
-    """(rows, float64 block) of layer 0, read through one reusable buffer of about nbytes."""
-    buf = np.empty((min(n, max(1, nbytes // (8 * m))), m), "<f8")  # one block's rows
+def _layer0_blocks(fh, path, offsets, n, m):
+    """(rows, float64 block) of layer 0, read through one reusable buffer of about LOAD_BYTES."""
+    buf = np.empty((min(n, max(1, LOAD_BYTES // (8 * m))), m), "<f8")  # one block's rows
     for r0 in range(0, n, len(buf)):
         rows = slice(r0, min(r0 + len(buf), n))
         yield rows, _fill(fh, path, 0, offsets, buf[:rows.stop - r0])
@@ -203,12 +201,11 @@ def _read_rest(fh, path, dims, offsets):
 def load_model(path) -> MlpModel:
     """The inference loader: layer 0 is cast to a column-major float32 matrix block by
     block as it is read (the peak is about half a float64 copy plus one buffer); the rest
-    stays float64.  Each cast transposes, which is as fast as a plain one only while its
-    source block stays in cache, hence LOAD_BYTES rather than STREAM_BYTES."""
+    stays float64."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
         w0 = np.empty(dims[1::-1], np.float32).T  # (n, m), column-major
-        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2], LOAD_BYTES):
+        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
             _float32(block, w0[rows])
         del block  # frees the read buffer before MlpModel's finite check allocates
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
@@ -216,19 +213,22 @@ def load_model(path) -> MlpModel:
 
 
 def apply_first_layer(path, x, check_dims):
-    """Layer 0 of a model file on the rows of x (float64), never held whole:
-    after load_model's header checks and check_dims(dims), z = sum over row
-    blocks of x[:, rows] @ W0[rows], each block finite-checked in float32 as it
-    arrives (one block: bitwise x @ W0).  Returns (ReLU(z + b0), the other layers
-    as an MlpModel), or (z + b0, None) for one layer; every error is load_model's."""
+    """Layer 0 of a model file on the rows of x as load_model's head computes it, never
+    held whole: after the header checks and check_dims(dims), each W0 block is cast into
+    one reused column-major float32 buffer, finite-checked, multiplied with x in float32,
+    and summed in row order in float64 (one block: bitwise).  Returns (ReLU(z + b0), the
+    other layers as an MlpModel), or (z + b0, None) for one layer; errors are load_model's."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
         check_dims(dims)
         z = None
-        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2], STREAM_BYTES):
-            check_finite(0, _float32(block, np.empty(block.shape, np.float32)))
-            part = x[:, rows] @ block
-            z = part if z is None else np.add(z, part, out=z)
+        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
+            if z is None:  # the first block is the longest
+                w0 = np.empty(block.shape[::-1], np.float32).T
+            w = _float32(block, w0[:len(block)])
+            check_finite(0, w)
+            part = x[:, rows].astype(np.float32, copy=False) @ w
+            z = part.astype(np.float64) if z is None else np.add(z, part, out=z)
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
     for j, arrays in enumerate([(b0,), *zip(weights, biases)]):
         check_finite(j, *arrays)  # in file order, so j is the layer's index in the file

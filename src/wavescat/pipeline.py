@@ -200,7 +200,7 @@ def _load_aligned(config: PipelineConfig, features_path, manifest_path):
         raise DataError(f"{features_path}: {len(vecs)} feature records, but manifest "
                         f"{manifest_path} has {len(records)} entries")
     labels = load_labels(records, config.classes)
-    return vecs.astype(np.float64), labels
+    return vecs, labels
 
 
 def _per_class_rows(matrix: ConfusionMatrix):

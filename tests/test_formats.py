@@ -34,7 +34,7 @@ from wavescat.formats import (
     write_features,
     write_manifest,
 )
-from wavescat.mlp import MlpModel, init_model, mlp_forward, models_equal, softmax
+from wavescat.mlp import MlpModel, _forward_batch, init_model, mlp_forward, models_equal, softmax
 from wavescat.mlp import predict as mlp_predict
 from wavescat.pipeline import (PipelineConfig, extract_features, overlay_configs, run_eval,
                                run_infer)
@@ -517,14 +517,15 @@ def test_save_model_peak_stays_far_below_one_copy(tmp_path):
 
 
 def test_load_model_peak_stays_near_half_a_copy(tmp_path):
-    model = init_model((4 * BIG_DIMS[0], *BIG_DIMS[1:]), seed=3)  # layer 0 spans 4 blocks
-    assert 8 * model.weights[0].size >= 4 * formats.STREAM_BYTES
+    model = init_model((4 * BIG_DIMS[0], *BIG_DIMS[1:]), seed=3)  # layer 0 spans 64 blocks
+    assert 8 * model.weights[0].size >= 64 * formats.LOAD_BYTES
     path = tmp_path / "m.bin"
     save_model(model, path)
-    # float32 layer 0 and float64 rest, plus the one read buffer, which is
-    # freed before the finite check's bool temporary is made
+    # float32 layer 0 and float64 rest, plus the larger of the one read buffer
+    # and the finite check's bool temporary of W0: the buffer is freed first
     peak = _traced_peak(load_model, path)
-    assert peak <= _param_bytes(model) / 2 + formats.STREAM_BYTES + (64 << 10)
+    assert peak <= (_param_bytes(model) / 2 + max(formats.LOAD_BYTES, model.weights[0].size)
+                    + (64 << 10))
     oracles.assert_inference_copy(load_model(path), model)
 
 
@@ -641,17 +642,22 @@ def test_apply_first_layer_sums_blocks_in_row_order(tmp_path, monkeypatch):
     path = tmp_path / "m.bin"
     save_model(model, path)
     x = np.random.default_rng(8).normal(size=(4, 17))
-    w, b = model.weights[0], model.biases[0]
+    # float32 products of column-major float32 blocks, as load_model holds W0,
+    # summed in float64
+    x32, b = x.astype(np.float32), model.biases[0]
+    w = np.asfortranarray(model.weights[0], np.float32)
     for rows in (5, 17, 1):  # 4 blocks with a short last one; one block; one row per block
-        monkeypatch.setattr(formats, "STREAM_BYTES", 8 * 3 * rows)
-        z = x[:, :rows] @ w[:rows]
+        monkeypatch.setattr(formats, "LOAD_BYTES", 8 * 3 * rows)
+        z = (x32[:, :rows] @ w[:rows]).astype(np.float64)
         for r0 in range(rows, 17, rows):
-            z += x[:, r0:r0 + rows] @ w[r0:r0 + rows]
+            z += x32[:, r0:r0 + rows] @ w[r0:r0 + rows]
         h, tail = apply_first_layer(path, x, _no_check)
         assert h.tobytes() == np.maximum(z + b, 0.0).tobytes()
         assert tail.dims == (3, 2) and models_equal(tail, MlpModel((3, 2), model.weights[1:],
                                                                    model.biases[1:]))
-    monkeypatch.setattr(formats, "STREAM_BYTES", 1)  # a buffer smaller than one row holds one
+        if rows == 17:  # one block: bitwise load_model's head
+            assert h.tobytes() == _forward_batch(load_model(path), x)[1][1].tobytes()
+    monkeypatch.setattr(formats, "LOAD_BYTES", 1)  # a buffer smaller than one row holds one
     assert apply_first_layer(path, x, _no_check)[0].tobytes() == h.tobytes()
 
 
@@ -663,7 +669,19 @@ def test_apply_first_layer_of_a_one_layer_model_returns_scores(tmp_path):
     x = np.random.default_rng(2).normal(size=(3, 6))
     scores, tail = apply_first_layer(path, x, _no_check)
     assert tail is None
-    assert scores.tobytes() == (x @ model.weights[0] + model.biases[0]).tobytes()
+    assert scores.tobytes() == _forward_batch(load_model(path), x)[0].tobytes()
+
+
+def test_apply_first_layer_peak_stays_near_one_read_block(tmp_path):
+    model = init_model(BIG_DIMS, seed=5)  # layer 0 spans 16 blocks
+    assert 8 * model.weights[0].size >= 16 * formats.LOAD_BYTES
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    x = np.random.default_rng(5).normal(size=(4, BIG_DIMS[0]))
+    # the read buffer, its float32 cast and the cast's bool finite check, x's
+    # blocks in float32, the small later layers
+    peak = _traced_peak(apply_first_layer, path, x, _no_check)
+    assert peak <= 2 * formats.LOAD_BYTES + 4 * x.size + (64 << 10)
 
 
 def test_apply_first_layer_checks_dims_before_reading_parameters(tmp_path, monkeypatch):
@@ -725,13 +743,14 @@ def test_eval_and_infer_take_a_one_layer_model(tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)
     feat, manifest = _stream_inputs(tmp_path)
-    held = mlp_predict(model, read_features(feat)[0].astype(np.float64))
+    head = load_model(path)  # layer 0 fits one block: eval and infer are bitwise its scores
+    held = mlp_predict(head, read_features(feat)[0])
     report = run_eval(STREAM_CFG, feat, manifest, path)
     assert report.count == 3 and report.accuracy == np.mean(held == [0, 1, 0])
     image = tmp_path / "x.ppm"
     write_ppm(image, np.random.default_rng(4).integers(0, 256, (8, 8, 3), dtype=np.uint8))
     x = extract_features(load_image_channel(image, "B"), TINY)
-    want = softmax(mlp_forward(model, x))
+    want = softmax(mlp_forward(head, x))
     assert run_infer(STREAM_CFG, path, image).scores == tuple(float(p) for p in want)
 
 

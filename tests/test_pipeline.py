@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wavescat import pipeline, synth
+from wavescat import formats, pipeline, synth
 from wavescat.errors import DataError
-from wavescat.formats import (STREAM_BYTES, ManifestRecord, apply_first_layer, load_model,
-                              read_features, read_manifest, save_model, write_manifest)
+from wavescat.formats import (ManifestRecord, apply_first_layer, load_model, read_features,
+                              read_manifest, save_model, write_manifest)
 from wavescat.metrics import multiclass_accuracy
 from wavescat.mlp import (TrainConfig, _forward_batch, init_model, mlp_forward, predict,
                           softmax)
@@ -373,8 +373,8 @@ def test_infer_zero_model_gives_uniform_scores(dataset, tmp_path):
 
 
 def _held_eval(config, features_path, manifest_path, model):
-    """The reference for run_eval: predict on the saved float64 model held whole
-    (compare reports by repr; the confusion matrix is an array)."""
+    """The reference for run_eval: predict on a model held whole (compare
+    reports by repr; the confusion matrix is an array)."""
     vecs, labels = pipeline._load_aligned(config, features_path, manifest_path)
     mat = pipeline._confusion(config, labels, predict(model, vecs))
     return pipeline.EvalReport(len(labels), multiclass_accuracy(mat), mat,
@@ -386,16 +386,18 @@ def _held_probs(config, model, image_path):
     return softmax(mlp_forward(model, extract_features(plane, config.scatter)))
 
 
-def test_streamed_head_is_bitwise_when_layer0_fits_one_block(dataset, features, trained):
+def test_streamed_head_is_bitwise_when_layer0_fits_one_block(dataset, features, trained,
+                                                            monkeypatch):
     path, model, _ = trained
-    assert 8 * model.dims[0] * model.dims[1] <= STREAM_BYTES
-    held = _held_eval(CFG64, features, dataset, model)
+    monkeypatch.setattr(formats, "LOAD_BYTES", 8 * model.dims[0] * model.dims[1])  # 688 KB
+    head = load_model(path)
+    held = _held_eval(CFG64, features, dataset, head)
     assert repr(run_eval(CFG64, features, dataset, path)) == repr(held)
-    vecs = read_features(features)[0].astype(np.float64)
+    vecs = read_features(features)[0]
     h, tail = apply_first_layer(path, vecs, lambda dims: None)
-    assert _forward_batch(tail, h)[0].tobytes() == _forward_batch(model, vecs)[0].tobytes()
+    assert _forward_batch(tail, h)[0].tobytes() == _forward_batch(head, vecs)[0].tobytes()
     for rec in read_manifest(dataset)[:6]:
-        want = tuple(float(p) for p in _held_probs(CFG64, model, rec.path))
+        want = tuple(float(p) for p in _held_probs(CFG64, head, rec.path))
         assert run_infer(CFG64, path, rec.path).scores == want
 
 
@@ -432,18 +434,21 @@ def wide(tmp_path_factory):
 def test_streamed_head_over_many_blocks_keeps_decisions(wide):
     manifest, feat, path, model = wide
     veclen = feature_length(512, 512, CFG512.scatter)
-    blocks = -(-veclen // (STREAM_BYTES // (8 * HIDDEN[0])))
-    assert blocks >= 4
-    # Set before the test was written: each block adds one rounding of the
-    # running sum, and 64 covers partial sums larger than the result.
-    tol = 64 * blocks * np.finfo(np.float64).eps
-    held = _held_eval(CFG512, feat, manifest, model)
+    assert -(-veclen // (formats.LOAD_BYTES // (8 * HIDDEN[0]))) >= 4  # blocks
+    held = _held_eval(CFG512, feat, manifest, model)  # float64 decisions
     assert repr(run_eval(CFG512, feat, manifest, path)) == repr(held)
+    vecs = read_features(feat)[0]
+    h, tail = apply_first_layer(path, vecs, lambda dims: None)
+    moved = np.abs(_forward_batch(tail, h)[0] - _forward_batch(model, vecs)[0])
+    assert (moved <= oracles.float32_head_score_bound(model, vecs)).all()
     for rec in read_manifest(manifest):
-        want = _held_probs(CFG512, model, rec.path)
+        x = extract_features(load_image_channel(rec.path, CFG512.channel), CFG512.scatter)
+        h, tail = apply_first_layer(path, x[None, :], lambda dims: None)
+        scores, want = mlp_forward(tail, h[0]), mlp_forward(model, x)
+        assert (np.abs(scores - want) <= oracles.float32_head_score_bound(model, x)).all()
         got = run_infer(CFG512, path, rec.path)
+        assert got.scores == tuple(float(p) for p in softmax(scores))
         assert got.label == CFG512.classes[int(np.argmax(want))]
-        assert np.abs(np.array(got.scores) - want).max() <= tol
 
 
 def test_streamed_head_peaks_below_half_a_layer0_copy(wide):
