@@ -101,7 +101,8 @@ def _cmd_synth(args):
 def _cmd_extract(args):
     pcfg, _ = _configs(args)
     report = run_extract(pcfg, args.manifest, args.out)
-    print(f"wrote {report.written} feature records to {args.out}")
+    print(f"wrote {report.written} feature records to {args.out} "
+          f"({report.workers} worker{'s' * (report.workers != 1)})")
     if report.failures:
         for path, msg in report.failures:
             print(f"failed: {path}: {msg}", file=sys.stderr)
@@ -223,7 +224,7 @@ def _cmd_flops(args):
 # reads; one it does not take reads as None.
 _SHARED_FLAGS = {
     "config": dict(metavar="PATH", help="key=value settings file"),
-    "threads": dict(type=int, metavar="N", help="worker count"),
+    "threads": dict(type=int, metavar="N", help="upper bound on worker threads"),
     "seed": dict(type=int, metavar="S", help="seed for synth and training"),
 }
 

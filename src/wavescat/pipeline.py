@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -156,10 +157,16 @@ def _check_feature_header(config: PipelineConfig, header, path):
         raise DataError(f"{path}: vector length {header['veclen']}, config implies {expect}")
 
 
+# Planes smaller than this are extracted on the calling thread: their numpy
+# calls are too short to outweigh the pool's GIL handoffs (README, "Worker count").
+POOL_MIN_PIXELS = 1 << 17
+
+
 @dataclass(frozen=True)
 class ExtractReport:
     written: int
     failures: tuple  # (path, message) pairs in manifest order
+    workers: int     # threads that extracted; at most config.threads
 
 
 def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractReport:
@@ -169,27 +176,25 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     recorded and skipped, so the output stays valid; callers must treat
     any failure as breaking the index alignment with the manifest.  Any
     other exception cancels the images not yet started and propagates as
-    soon as its image's result is read.
+    soon as its image's result is read.  config.threads caps the workers;
+    planes under POOL_MIN_PIXELS, or a single worker, run on this thread.
     """
     records = read_manifest(manifest_path)
     load_labels(records, config.classes)
+    small = config.width * config.height < POOL_MIN_PIXELS
+    workers = 1 if small else min(config.threads, len(records))
 
     def work(rec):
-        return extract_features(_load_plane(config, rec.path), config.scatter)
+        try:
+            return extract_features(_load_plane(config, rec.path), config.scatter), None
+        except (DataError, OSError) as exc:
+            return None, (rec.path, str(exc))
 
-    vectors, failures = [], []
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [pool.submit(work, rec) for rec in records]
-        for rec, fut in zip(records, futures):
-            try:
-                vectors.append(fut.result())
-            except (DataError, OSError) as exc:
-                failures.append((rec.path, str(exc)))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = list((pool.map if pool else map)(work, records))
+    vectors = [vec for vec, _ in outcomes if vec is not None]
     write_features(out_path, vectors, config.width, config.height, config.scatter)
-    return ExtractReport(len(vectors), tuple(failures))
+    return ExtractReport(len(vectors), tuple(f for _, f in outcomes if f is not None), workers)
 
 
 def _load_aligned(config: PipelineConfig, features_path, manifest_path):

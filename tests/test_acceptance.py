@@ -13,7 +13,7 @@ import pytest
 import oracles
 from test_mlp import gradcheck_worst_rel, sample_kink_free_pair
 
-from wavescat import synth
+from wavescat import pipeline, synth
 from wavescat.flops import (NetworkSpec, fc_flops, network_flops, parse_layers,
                             pipeline_flops, relu_flops)
 from wavescat.formats import read_manifest, save_model
@@ -232,25 +232,29 @@ def test_criterion_10_metrics_and_efficiency():
                     f"efficiency {e1:.3f}/{e2:.3f} == 0.141/0.050")
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
     tcfg = TrainConfig(learning_rate=0.05, epochs=6, batch_size=8, seed=3)
+    default = pipeline.POOL_MIN_PIXELS
     blobs = []
     for side in ("a", "b"):
         work = tmp_path / side
         manifest = synth.synth_dataset(work / "data", per_class=4, seed=5)
         feats = []
-        for threads in (1, 4):
+        # 64x64 planes run on the calling thread; a 1 px threshold forces the pool
+        for i, (threads, min_pixels) in enumerate(((1, default), (4, default), (4, 1))):
+            monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", min_pixels)
             cfg = PipelineConfig(width=64, height=64, threads=threads)
-            out = work / f"t{threads}.feat"
-            run_extract(cfg, manifest, out)
+            out = work / f"t{i}.feat"
+            report = run_extract(cfg, manifest, out)
+            assert report.workers == (1 if min_pixels > 1 else threads)
             feats.append(out.read_bytes())
-        assert feats[0] == feats[1]
+        assert feats[0] == feats[1] == feats[2]
         cfg = PipelineConfig(width=64, height=64)
         model_path = work / "model.bin"
-        _, report = run_train(cfg, tcfg, work / "t1.feat", manifest, model_path)
-        ev = run_eval(cfg, work / "t1.feat", manifest, model_path)
+        _, report = run_train(cfg, tcfg, work / "t0.feat", manifest, model_path)
+        ev = run_eval(cfg, work / "t0.feat", manifest, model_path)
         blobs.append({
-            "images": b"".join(open(r.path, "rb").read()
+            "images": b"".join(Path(r.path).read_bytes()
                                for r in read_manifest(manifest)),
             "features": feats[0],
             "model": model_path.read_bytes(),

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from wavescat import pipeline
 from wavescat.cli import main
 from wavescat.formats import save_model
 from wavescat.mlp import init_model
@@ -54,11 +55,15 @@ def test_extract_reports_counts(ws, tmp_path, capsys):
     assert out_path.read_bytes() == ws["feat"].read_bytes()
 
 
-def test_extract_threads_flag_keeps_bytes(ws, tmp_path):
-    out_path = tmp_path / "t3.feat"
-    assert main(["extract", "--manifest", str(ws["manifest"]), "--out", str(out_path),
-                 "--config", str(ws["cfg"]), "--threads", "3"]) == 0
-    assert out_path.read_bytes() == ws["feat"].read_bytes()
+def test_extract_threads_flag_keeps_bytes(ws, tmp_path, monkeypatch, capsys):
+    # 64x64 planes run on the calling thread; a 1 px threshold forces the pool
+    for min_pixels, used in ((pipeline.POOL_MIN_PIXELS, "1 worker)"), (1, "3 workers)")):
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", min_pixels)
+        out_path = tmp_path / f"t3-{min_pixels}.feat"
+        assert main(["extract", "--manifest", str(ws["manifest"]), "--out", str(out_path),
+                     "--config", str(ws["cfg"]), "--threads", "3"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(used)
+        assert out_path.read_bytes() == ws["feat"].read_bytes()
 
 
 def test_train_output_and_csv(ws, tmp_path, capsys):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +201,49 @@ def test_extract_writes_aligned_features(dataset, features):
         assert np.array_equal(vecs[i], want)
 
 
-def test_extract_thread_count_does_not_change_bytes(dataset, features, tmp_path):
-    out = tmp_path / "threads4.feat"
-    report = run_extract(PipelineConfig(width=64, height=64, threads=4), dataset, out)
-    assert report.failures == ()
-    assert out.read_bytes() == features.read_bytes()
+def test_extract_thread_count_does_not_change_bytes(dataset, features, tmp_path, monkeypatch):
+    # 64x64 planes run on the calling thread; a 1 px threshold forces the pool
+    for min_pixels in (pipeline.POOL_MIN_PIXELS, 1):
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", min_pixels)
+        for threads in (2, 4):
+            out = tmp_path / f"threads{threads}-{min_pixels}.feat"
+            report = run_extract(PipelineConfig(width=64, height=64, threads=threads),
+                                 dataset, out)
+            assert report.failures == ()
+            assert report.workers == (threads if min_pixels == 1 else 1)
+            assert out.read_bytes() == features.read_bytes()
 
 
-def test_extract_records_failures_and_skips(dataset, tmp_path):
+def test_extract_picks_workers_from_plane_size_and_image_count(dataset, tmp_path,
+                                                               monkeypatch):
+    records = read_manifest(dataset)
+    three = tmp_path / "three.tsv"
+    three.write_text("".join(f"{r.path}\t{r.label}\n" for r in records[:3]))
+    real = pipeline.extract_features
+    seen = []
+
+    def spy(plane, config):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return real(plane, config)
+
+    monkeypatch.setattr(pipeline, "extract_features", spy)
+    before = threading.active_count()
+    report = run_extract(PipelineConfig(width=64, height=64, threads=4), dataset,
+                         tmp_path / "small.feat")
+    assert report.workers == 1 and len(seen) == report.written == 30
+    assert all(t is threading.main_thread() and n == before for t, n in seen)
+
+    seen.clear()
+    monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", 1)
+    report = run_extract(PipelineConfig(width=64, height=64, threads=8), three,
+                         tmp_path / "pool.feat")
+    used = {t for t, _ in seen}
+    assert report.workers == 3 and len(seen) == 3
+    assert threading.main_thread() not in used and len(used) <= 3
+    assert threading.active_count() == before
+
+
+def test_extract_records_failures_and_skips(dataset, tmp_path, monkeypatch):
     records = read_manifest(dataset)
     work = tmp_path / "broken"
     work.mkdir()
@@ -222,13 +258,16 @@ def test_extract_records_failures_and_skips(dataset, tmp_path):
     manifest.write_text("\n".join(rows) + "\n")
 
     out = work / "out.feat"
-    report = run_extract(CFG64, manifest, out)
-    assert report.written == 4
-    assert [p for p, _ in report.failures] == [str(truncated), str(small)]
-    assert "truncated raster" in report.failures[0][1]
-    assert "image is 8x8, config expects 64x64" in report.failures[1][1]
-    vecs, _ = read_features(out)
-    assert len(vecs) == 4
+    # the calling thread, then a pool forced by a 1 px threshold
+    for min_pixels in (pipeline.POOL_MIN_PIXELS, 1):
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", min_pixels)
+        report = run_extract(replace(CFG64, threads=2), manifest, out)
+        assert report.written == 4
+        assert [p for p, _ in report.failures] == [str(truncated), str(small)]
+        assert "truncated raster" in report.failures[0][1]
+        assert "image is 8x8, config expects 64x64" in report.failures[1][1]
+        vecs, _ = read_features(out)
+        assert len(vecs) == 4
 
 
 def test_extract_fails_fast_on_an_unexpected_worker_error(dataset, tmp_path, monkeypatch):
@@ -236,22 +275,27 @@ def test_extract_fails_fast_on_an_unexpected_worker_error(dataset, tmp_path, mon
     manifest = tmp_path / "fifty.tsv"
     fifty = [records[i % len(records)] for i in range(50)]
     manifest.write_text("".join(f"{r.path}\t{r.label}\n" for r in fifty))
+    first = load_image_channel(records[0].path, "B")
     calls = []
 
     def flaky(plane, config):
         calls.append(1)
-        if len(calls) == 1:
+        if np.array_equal(plane, first):
             raise RuntimeError("boom on the first image")
         time.sleep(0.01)
         return np.zeros(feature_length(64, 64, config))
 
     monkeypatch.setattr(pipeline, "extract_features", flaky)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="boom on the first image"):
-        run_extract(CFG64, manifest, tmp_path / "out.feat")
-    assert len(calls) < 5
-    assert threading.active_count() == before
-    assert not (tmp_path / "out.feat").exists()
+    # the calling thread stops at once; the forced pool cancels what has not started
+    for min_pixels, most_calls in ((pipeline.POOL_MIN_PIXELS, 1), (1, 4)):
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", min_pixels)
+        calls.clear()
+        with pytest.raises(RuntimeError, match="boom on the first image"):
+            run_extract(replace(CFG64, threads=2), manifest, tmp_path / "out.feat")
+        assert 1 <= len(calls) <= most_calls
+        assert threading.active_count() == before
+        assert not (tmp_path / "out.feat").exists()
 
 
 def test_extract_validates_labels_before_work(dataset, tmp_path):
