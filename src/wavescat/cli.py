@@ -160,6 +160,8 @@ def _cmd_infer(args):
 
 def _cmd_bench(args):
     pcfg, _ = _configs(args)
+    if args.peak is not None:
+        efficiency(0.0, args.peak)  # reject a bad peak before any frame is timed
     report = run_bench(pcfg, args.model, args.image, args.frames)
     w, h = report.image_dims
     ms = report.wall_seconds / report.frames_processed * 1e3

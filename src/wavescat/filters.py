@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,13 +74,6 @@ class FilterPair:
     h_origin: int
     g_origin: int
 
-    @cached_property
-    def unit_h(self) -> np.ndarray:
-        """h / sum(h), read-only: the factor of every unit-DC scale kernel."""
-        unit = self.h / self.h.sum()
-        unit.flags.writeable = False
-        return unit
-
 
 @dataclass(frozen=True, eq=False)
 class Kernel2D:
@@ -94,6 +87,14 @@ class Kernel2D:
     factor: np.ndarray
     kind: str
     origin: int
+
+    @cached_property
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        """The factor's taps as read-only 0-d float64 arrays, which a ufunc
+        takes with less per-call work than numpy scalars; built once."""
+        taps = np.array(self.factor, dtype=np.float64)
+        taps.flags.writeable = False
+        return tuple(taps[t, ...] for t in range(len(taps)))
 
     @property
     def taps(self) -> np.ndarray:
@@ -158,9 +159,7 @@ def _check_pair(name, h, h_lo, g, g_lo):
         raise AssertionError(f"{name}: alias cancellation check failed")
 
 
-_PAIR_CACHE: dict[str, FilterPair] = {}
-
-
+@lru_cache(maxsize=len(BASES))
 def make_filter_pair(basis_name: str) -> FilterPair:
     """Return the decomposition filter pair for one supported basis.
 
@@ -176,9 +175,6 @@ def make_filter_pair(basis_name: str) -> FilterPair:
     """
     if basis_name not in _DEC_LO:
         raise DataError(f"unknown wavelet basis {basis_name!r}; supported: {', '.join(BASES)}")
-    pair = _PAIR_CACHE.get(basis_name)
-    if pair is not None:
-        return pair
     nums, den, h_lo = _DEC_LO[basis_name]
     h = _values(nums, den)
     rec, rden, rlo = _REC_LO[basis_name]
@@ -186,19 +182,19 @@ def make_filter_pair(basis_name: str) -> FilterPair:
     _check_pair(basis_name, h, h_lo, g, g_lo)
     for a in (h, g):
         a.flags.writeable = False
-    pair = FilterPair(basis_name, h, g, h_origin=-h_lo, g_origin=-g_lo)
-    _PAIR_CACHE[basis_name] = pair
-    return pair
+    return FilterPair(basis_name, h, g, h_origin=-h_lo, g_origin=-g_lo)
 
 
+@lru_cache(maxsize=3 * len(BASES))
 def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2D:
     """Build the separable 2D kernel phi = h(x)h or psi = g(x)g.
 
     With unit_dc the 1D factor is divided by its sum first, so the kernel
     passes constants through unchanged; the scattering cascade uses this for
     every scale kernel.  unit_dc on the zero-sum wavelet kernel is rejected.
-    The kernel shares the pair's read-only arrays (h, g or the cached
-    unit_h), so building one allocates no array after the first.
+    Kernels are cached: the same arguments return the same kernel, which
+    builds its coefficients once.  Its factor is the pair's read-only h or
+    g, or a read-only h / sum(h).
     """
     if kind == SCALE:
         f, origin = pair.h, pair.h_origin
@@ -209,7 +205,8 @@ def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2
     if unit_dc:
         if kind != SCALE:
             raise DataError("unit_dc requires a scale kernel; the wavelet kernel has zero DC gain")
-        f = pair.unit_h
+        f = pair.h / pair.h.sum()
+        f.flags.writeable = False
     return Kernel2D(factor=f, kind=kind, origin=origin)
 
 

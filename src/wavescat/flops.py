@@ -170,8 +170,8 @@ def network_flops(spec: NetworkSpec) -> FlopsReport:
 
 def theoretical_time(report: FlopsReport, peak_flops: float) -> float:
     """Total count divided by a device peak, in seconds."""
-    if peak_flops <= 0:
-        raise DataError(f"device peak must be positive, got {peak_flops}")
+    if not 0 < peak_flops < math.inf:
+        raise DataError(f"device peak must be finite and positive, got {peak_flops}")
     return report.total / peak_flops
 
 

@@ -106,8 +106,8 @@ def multiclass_accuracy(matrix: ConfusionMatrix) -> float:
 
 def efficiency(fps: float, peak_flops: float) -> float:
     """Hardware-match ratio: FPS per GFLOPS of device peak."""
-    if peak_flops <= 0:
-        raise DataError(f"device peak must be positive, got {peak_flops}")
+    if not 0 < peak_flops < np.inf:
+        raise DataError(f"device peak must be finite and positive, got {peak_flops}")
     if fps < 0:
         raise DataError(f"fps must be non-negative, got {fps}")
     return fps / (peak_flops / 1e9)

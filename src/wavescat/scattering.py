@@ -97,10 +97,12 @@ class ScatterConfig:
             raise DataError(f"smooth_with must be one of {SMOOTH_WITH}, got {self.smooth_with!r}")
         if not self.selection:
             raise DataError("empty selection: nothing to put in the feature vector")
-        valid = set(selection_names(self.depth))
+        valid = selection_names(self.depth)
         for name in self.selection:
             if name not in valid:
-                raise DataError(f"unknown selection {name!r}; valid: {', '.join(selection_names(self.depth))}")
+                raise DataError(f"unknown selection {name!r}; valid: {', '.join(valid)}")
+        # declared order, once each: the order feature files store it in
+        object.__setattr__(self, "selection", tuple(n for n in valid if n in self.selection))
 
 
 @dataclass(frozen=True)
@@ -165,19 +167,8 @@ def _pass_plan(in_shape: tuple[int, int], k: int, origin: int, boundary: str,
 _BLOCK = 1 << 15
 
 
-@lru_cache(maxsize=64)
-def _coefficients(factor: bytes) -> tuple[np.ndarray, ...]:
-    """A 1D factor's taps, given as its float64 bytes, as read-only 0-d
-    float64 arrays.  Keyed on the bytes, not the values, so -0.0 and 0.0
-    taps stay apart.  A ufunc takes a 0-d array operand with less per-call
-    work than a numpy scalar, and at 64x64 the per-call work is most of a
-    pass."""
-    taps = np.frombuffer(factor, dtype=np.float64)
-    return tuple(taps[t, ...] for t in range(len(taps)))
-
-
 def _conv1d_decimated(x: np.ndarray, coeffs: tuple[np.ndarray, ...], origin: int,
-                      boundary: str, s: int, axis: int, shape) -> np.ndarray:
+                      boundary: str, s: int, axis: int) -> np.ndarray:
     """One decimating 1D pass along `axis` into a freshly allocated array.
 
     `x` is never written.  When the kernel needs no boundary extension on
@@ -187,15 +178,9 @@ def _conv1d_decimated(x: np.ndarray, coeffs: tuple[np.ndarray, ...], origin: int
     _pass_plan.  Each output sample sums its taps in the fixed order
     0..k-1 into one accumulator, so its bits do not depend on the path or
     the block size."""
-    n, k = x.shape[axis], len(coeffs)
-    _, pad_lo, pad_hi = _pads(n, k, origin, s)
-    if pad_lo > n or pad_hi > n:
-        raise DataError(
-            f"kernel side {k} does not fit plane of shape {shape} "
-            f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
     # _BLOCK is read per call and keys the plan, so patching it re-plans
     lo, hi, out_shape, scratch_rows, blocks = _pass_plan(
-        x.shape, k, origin, boundary, s, axis, _BLOCK)
+        x.shape, len(coeffs), origin, boundary, s, axis, _BLOCK)
     ext = x if lo is None else np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
     out = np.empty(out_shape)
     tmp = np.empty((scratch_rows, out_shape[1]))
@@ -233,10 +218,15 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     s = int(decimate)
     if s < 1:
         raise DataError(f"decimate must be >= 1, got {decimate}")
-    f = np.ascontiguousarray(kernel.factor, dtype=np.float64)
-    c, o = _coefficients(f.tobytes()), kernel.origin
-    rows = _conv1d_decimated(x, c, o, boundary, s, axis=1, shape=x.shape)
-    return _conv1d_decimated(rows, c, o, boundary, s, axis=0, shape=x.shape)
+    c, o = kernel.coefficients, kernel.origin
+    for n in x.shape:  # the row pass keeps the row count, so both passes are checked here
+        _, pad_lo, pad_hi = _pads(n, len(c), o, s)
+        if pad_lo > n or pad_hi > n:
+            raise DataError(
+                f"kernel side {len(c)} does not fit plane of shape {x.shape} "
+                f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
+    rows = _conv1d_decimated(x, c, o, boundary, s, axis=1)
+    return _conv1d_decimated(rows, c, o, boundary, s, axis=0)
 
 
 class Step(NamedTuple):
@@ -315,11 +305,8 @@ def feature_vector(output: ScatterOutput, selection) -> np.ndarray:
     for name in wanted:
         if name not in valid:
             raise DataError(f"unknown selection {name!r}; valid: {', '.join(valid)}")
-    planes = {"S0": output.s0}
-    planes.update({f"U{i+1}": u for i, u in enumerate(output.u_levels)})
-    planes.update({f"S{i+1}": p for i, p in enumerate(output.s_levels)})
-    parts = [planes[name].ravel() for name in valid if name in wanted]
-    return np.concatenate(parts)
+    planes = zip(valid, (output.s0, *output.u_levels, *output.s_levels))
+    return np.concatenate([p.ravel() for name, p in planes if name in wanted])
 
 
 def plane_dims(width: int, height: int, config: ScatterConfig) -> dict[str, tuple[int, int]]:
@@ -336,5 +323,4 @@ def plane_dims(width: int, height: int, config: ScatterConfig) -> dict[str, tupl
 def feature_length(width: int, height: int, config: ScatterConfig) -> int:
     """Config-derived feature-vector length for a width x height input."""
     dims = plane_dims(width, height, config)
-    wanted = set(config.selection)
-    return sum(dims[n][0] * dims[n][1] for n in selection_names(config.depth) if n in wanted)
+    return sum(dims[n][0] * dims[n][1] for n in config.selection)

@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from .errors import DataError
+from .formats import ManifestRecord, write_manifest
 from .ppm import write_ppm
 
 CLASSES = ("nest", "kite", "textile", "plastic", "background")
@@ -136,15 +137,14 @@ def synth_dataset(out_dir, per_class: int = 20, width: int = 64, height: int = 6
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise DataError(f"cannot create output directory {out_dir}: {e}") from None
-    lines = []
+    records = []
     for ci, label in enumerate(CLASSES[:n_classes]):
         for ii in range(per_class):
             rng = np.random.default_rng([seed, ci, ii])
             img = render_image(label, rng, width, height)
             name = f"{label}_{ii:03d}.ppm"
             write_ppm(os.path.join(out_dir, name), img)
-            lines.append(f"{name}\t{label}")
+            records.append(ManifestRecord(name, label))
     manifest = os.path.join(out_dir, "manifest.tsv")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_manifest(manifest, records)
     return manifest

@@ -158,6 +158,33 @@ def test_bench_rejects_zero_frames(ws, capsys):
     assert "data error: frames must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bench", "flops"])
+@pytest.mark.parametrize("peak", ["0", "-1", "nan", "inf"])
+def test_bad_peak_exit_2_before_any_report(ws, command, peak, capsys):
+    if command == "bench":
+        argv = ["bench", "--model", str(ws["model"]), "--image", str(ws["image"]),
+                "--config", str(ws["cfg"]), "--frames", "2"]
+    else:
+        argv = ["flops", "--pipeline", "--width", "64", "--height", "64"]
+    assert main([*argv, "--peak", peak]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("data error:") and "peak" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("selection", ["U3,U1,U2", "U1,U1"])
+def test_selection_out_of_order_or_repeated_round_trips(ws, tmp_path, selection, capsys):
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text(ws["cfg"].read_text() + f"selection = {selection}\n")
+    feat, model = tmp_path / "sel.feat", tmp_path / "sel.bin"
+    common = ["--manifest", str(ws["manifest"]), "--config", str(cfg)]
+    assert main(["extract", *common, "--out", str(feat)]) == 0
+    assert main(["train", *common, "--features", str(feat), "--out", str(model)]) == 0
+    assert main(["eval", *common, "--features", str(feat), "--model", str(model)]) == 0
+    if selection == "U3,U1,U2":  # the default selection, written in another order
+        assert feat.read_bytes() == ws["feat"].read_bytes()
+
+
 def test_flops_reference_table(capsys):
     rc = main(["flops", "--layers", "configs/reference_cnn.layers"])
     out = capsys.readouterr().out

@@ -9,6 +9,7 @@ from wavescat.filters import (
     BASES,
     SCALE,
     WAVELET_DIAGONAL,
+    Kernel2D,
     dump_filter_lines,
     make_filter_pair,
     make_kernel2d,
@@ -93,6 +94,35 @@ def test_kernel_is_exact_outer_product(name, kind, unit_dc):
     assert kern.kind == kind
     assert kern.origin == (pair.h_origin if kind == SCALE else pair.g_origin)
     assert kern.dc_gain == float(kern.taps.sum())
+
+
+@pytest.mark.parametrize("kind,unit_dc", [(SCALE, False), (SCALE, True),
+                                          (WAVELET_DIAGONAL, False)])
+def test_kernel_coefficients_are_read_only_taps_built_once(kind, unit_dc):
+    kern = make_kernel2d(make_filter_pair("bior2.6"), kind, unit_dc=unit_dc)
+    coeffs = kern.coefficients
+    assert coeffs is kern.coefficients
+    assert [float(c) for c in coeffs] == kern.factor.tolist()
+    for c in coeffs:
+        assert c.shape == () and c.dtype == np.float64 and not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[...] = 0.0
+
+
+def test_kernel_coefficients_of_a_hand_built_kernel_are_read_only():
+    kern = Kernel2D(factor=np.array([0.5, -0.25]), kind=SCALE, origin=0)
+    assert [float(c) for c in kern.coefficients] == [0.5, -0.25]
+    assert not any(c.flags.writeable for c in kern.coefficients)
+
+
+def test_same_arguments_return_the_same_kernel():
+    pair = make_filter_pair("bior2.2")
+    for kind, unit_dc in [(SCALE, False), (SCALE, True), (WAVELET_DIAGONAL, False)]:
+        a, b = (make_kernel2d(pair, kind, unit_dc=unit_dc) for _ in range(2))
+        assert a is b
+    assert make_kernel2d(pair, SCALE) is not make_kernel2d(pair, SCALE, unit_dc=True)
+    assert make_kernel2d.cache_info().maxsize is not None
+    assert make_filter_pair.cache_info().maxsize is not None
 
 
 def test_haar_kernel_values():

@@ -241,6 +241,9 @@ def test_theoretical_time():
         theoretical_time(report, 0.0)
     with pytest.raises(DataError, match="peak"):
         theoretical_time(report, -5.0)
+    for peak in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="finite and positive"):
+            theoretical_time(report, peak)
 
 
 # ---------------------------------------------------------------------------

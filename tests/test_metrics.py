@@ -161,5 +161,8 @@ def test_efficiency_guards():
         efficiency(10.0, 0.0)
     with pytest.raises(DataError, match="peak"):
         efficiency(10.0, -1e9)
+    for peak in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="finite and positive"):
+            efficiency(10.0, peak)
     with pytest.raises(DataError, match="fps"):
         efficiency(-1.0, 1e9)

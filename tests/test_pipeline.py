@@ -168,6 +168,13 @@ def test_synth_is_bitwise_deterministic(tmp_path):
     assert any(diff)
 
 
+def test_synth_manifest_is_one_relative_line_per_image(tmp_path):
+    manifest = synth.synth_dataset(tmp_path, per_class=2, seed=5, n_classes=2)
+    want = "".join(f"{label}_{i:03d}.ppm\t{label}\n"
+                   for label in synth.CLASSES[:2] for i in range(2))
+    assert Path(manifest).read_bytes() == want.encode()
+
+
 def test_synth_guards(tmp_path):
     with pytest.raises(DataError, match="at least 64x64"):
         synth.synth_dataset(tmp_path, width=32)

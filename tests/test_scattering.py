@@ -204,7 +204,7 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     assert got.tobytes() == want.tobytes()
 
 
-def test_signed_zero_taps_are_not_merged_in_the_tap_cache():
+def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
     x = np.random.default_rng(3).standard_normal((6, 7))
     outs = set()
     for factor in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]):
@@ -250,11 +250,6 @@ def test_pass_plans_are_read_only_and_the_cache_is_bounded():
     for n in range(1, limit + 20):
         scattering._pass_plan((n, 8), 2, 0, "periodic", 1, 0, 1 << 15)
     assert scattering._pass_plan.cache_info().currsize <= limit
-    coeffs = scattering._coefficients(np.array([0.5, -0.25]).tobytes())
-    assert [float(c) for c in coeffs] == [0.5, -0.25]
-    for c in coeffs:
-        assert c.shape == () and not c.flags.writeable
-    assert scattering._coefficients.cache_info().maxsize is not None
     assert selection_names.cache_info().maxsize is not None
 
 
@@ -590,3 +585,9 @@ def test_config_coerces_sequences_to_tuples():
                         selection=["U1", "U2"])
     assert cfg.level_bases == ("bior1.1", "bior2.2")
     assert cfg.selection == ("U1", "U2")
+
+
+def test_config_stores_selection_in_declared_order_once_each():
+    assert ScatterConfig(selection=("S1", "U3", "S0", "U1", "U3")).selection == (
+        "S0", "U1", "U3", "S1")
+    assert ScatterConfig(selection=("U1", "U1")).selection == ("U1",)
