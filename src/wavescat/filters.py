@@ -159,7 +159,6 @@ def _check_pair(name, h, h_lo, g, g_lo):
         raise AssertionError(f"{name}: alias cancellation check failed")
 
 
-@lru_cache(maxsize=len(BASES))
 def make_filter_pair(basis_name: str) -> FilterPair:
     """Return the decomposition filter pair for one supported basis.
 
@@ -171,8 +170,16 @@ def make_filter_pair(basis_name: str) -> FilterPair:
     Returns
     -------
     FilterPair
-        Immutable and cached; repeated calls return the same arrays.
+        Immutable and cached; repeated calls return the same pair, however
+        the argument is passed.
     """
+    return _filter_pair(basis_name)
+
+
+# The cached builders take their arguments positionally from the public
+# functions, so a keyword call and a positional call share one entry.
+@lru_cache(maxsize=len(BASES))
+def _filter_pair(basis_name: str) -> FilterPair:
     if basis_name not in _DEC_LO:
         raise DataError(f"unknown wavelet basis {basis_name!r}; supported: {', '.join(BASES)}")
     nums, den, h_lo = _DEC_LO[basis_name]
@@ -185,17 +192,21 @@ def make_filter_pair(basis_name: str) -> FilterPair:
     return FilterPair(basis_name, h, g, h_origin=-h_lo, g_origin=-g_lo)
 
 
-@lru_cache(maxsize=3 * len(BASES))
 def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2D:
     """Build the separable 2D kernel phi = h(x)h or psi = g(x)g.
 
     With unit_dc the 1D factor is divided by its sum first, so the kernel
     passes constants through unchanged; the scattering cascade uses this for
     every scale kernel.  unit_dc on the zero-sum wavelet kernel is rejected.
-    Kernels are cached: the same arguments return the same kernel, which
-    builds its coefficients once.  Its factor is the pair's read-only h or
-    g, or a read-only h / sum(h).
+    Kernels are cached: the same arguments, passed by position or by
+    keyword, return the same kernel, which builds its coefficients once.
+    Its factor is the pair's read-only h or g, or a read-only h / sum(h).
     """
+    return _kernel2d(pair, kind, bool(unit_dc))
+
+
+@lru_cache(maxsize=3 * len(BASES))
+def _kernel2d(pair: FilterPair, kind: str, unit_dc: bool) -> Kernel2D:
     if kind == SCALE:
         f, origin = pair.h, pair.h_origin
     elif kind == WAVELET_DIAGONAL:

@@ -230,12 +230,11 @@ def apply_first_layer(path, x, check_dims):
             part = x[:, rows].astype(np.float32, copy=False) @ w
             z = part.astype(np.float64) if z is None else np.add(z, part, out=z)
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
-    for j, arrays in enumerate([(b0,), *zip(weights, biases)]):
-        check_finite(j, *arrays)  # in file order, so j is the layer's index in the file
+    check_finite(0, b0)  # then MlpModel checks layers 1.. in file order
     z += b0
     if len(dims) == 2:
         return z, None
-    return np.maximum(z, 0.0), MlpModel(dims[1:], weights, biases)
+    return np.maximum(z, 0.0), MlpModel(dims[1:], weights, biases, first_layer=1)
 
 
 @dataclass(frozen=True)

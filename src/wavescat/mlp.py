@@ -25,12 +25,15 @@ HIDDEN = (64, 16)
 @dataclass(eq=False)
 class MlpModel:
     """Layer dims [input_len, h1, ..., classes], weight matrices (in, out),
-    bias vectors, and the init seed (None for loaded models)."""
+    bias vectors, the init seed (None for loaded models), and the model
+    file's index of the first layer, which error messages name (1 for the
+    layers after a streamed layer 0)."""
 
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int | None = None
+    first_layer: int = 0
 
     def __post_init__(self):
         if len(self.dims) < 2:
@@ -40,11 +43,11 @@ class MlpModel:
         for j, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.dims[j], self.dims[j + 1]) or b.shape != (self.dims[j + 1],):
                 raise DataError(
-                    f"layer {j}: weight {w.shape} / bias {b.shape} do not chain "
+                    f"layer {self.first_layer + j}: weight {w.shape} / bias {b.shape} do not chain "
                     f"{self.dims[j]}->{self.dims[j + 1]}")
             # Load-bearing for frame speed after load_model: freeing this 19 MB (720p) temporary
             # lifts glibc's dynamic mmap threshold, so later frame planes skip page faults.
-            check_finite(j, w, b)
+            check_finite(self.first_layer + j, w, b)
 
     @property
     def classes(self) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from wavescat import filters
 from wavescat.errors import DataError
 from wavescat.filters import (
     BASES,
@@ -121,8 +122,17 @@ def test_same_arguments_return_the_same_kernel():
         a, b = (make_kernel2d(pair, kind, unit_dc=unit_dc) for _ in range(2))
         assert a is b
     assert make_kernel2d(pair, SCALE) is not make_kernel2d(pair, SCALE, unit_dc=True)
-    assert make_kernel2d.cache_info().maxsize is not None
-    assert make_filter_pair.cache_info().maxsize is not None
+    assert filters._kernel2d.cache_info().maxsize is not None
+    assert filters._filter_pair.cache_info().maxsize is not None
+
+
+def test_positional_and_keyword_calls_return_the_same_object():
+    pair = make_filter_pair("bior2.2")
+    assert make_filter_pair(basis_name="bior2.2") is pair
+    kernel = make_kernel2d(pair, SCALE, True)
+    assert make_kernel2d(pair, SCALE, unit_dc=True) is kernel
+    assert make_kernel2d(pair=pair, kind=SCALE, unit_dc=True) is kernel
+    assert make_kernel2d(pair, WAVELET_DIAGONAL) is make_kernel2d(pair, WAVELET_DIAGONAL, False)
 
 
 def test_haar_kernel_values():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from wavescat import formats
+from wavescat import formats, mlp
 from wavescat.errors import DataError, NumericError
 from wavescat.flops import NetworkSpec, network_flops, parse_layers
 from wavescat.formats import (
@@ -697,6 +697,24 @@ def test_apply_first_layer_checks_dims_before_reading_parameters(tmp_path, monke
     with pytest.raises(DataError, match="does not fit"):
         apply_first_layer(path, np.ones((1, 6)), refuse)
     assert seen == [(6, 4, 2)]
+
+
+def test_apply_first_layer_checks_each_parameter_once(tmp_path, monkeypatch):
+    model = init_model((16, 4, 3, 2), seed=1)
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    checked = {}
+
+    def count(j, *arrays):
+        checked[j] = checked.get(j, 0) + sum(a.size for a in arrays)
+        return real(j, *arrays)
+
+    real = mlp.check_finite
+    monkeypatch.setattr(formats, "check_finite", count)
+    monkeypatch.setattr(mlp, "check_finite", count)
+    apply_first_layer(path, np.ones((1, 16)), _no_check)
+    assert checked == {j: w.size + b.size
+                       for j, (w, b) in enumerate(zip(model.weights, model.biases))}
 
 
 # the eval config of the streamed fuzz: 8x8 images, one U1 plane, 16 features

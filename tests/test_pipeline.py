@@ -578,10 +578,16 @@ import sys
 from wavescat import synth
 from wavescat.mlp import TrainConfig
 from wavescat.pipeline import PipelineConfig, run_eval, run_extract, run_train
+from wavescat.scattering import ScatterConfig, selection_names
 work = sys.argv[1]
 cfg = PipelineConfig(width=64, height=64)
 manifest = synth.synth_dataset(work, per_class=8, seed=4)
 run_extract(cfg, manifest, work + "/f.feat")
+# bior2.6's 13-tap low-pass takes the GEMM row pass
+classic = ScatterConfig(variant="classic", boundary="periodic",
+                        level_bases=("bior2.6", "bior1.3", "bior2.2"),
+                        selection=selection_names(3))
+run_extract(PipelineConfig(width=64, height=64, scatter=classic), manifest, work + "/c.feat")
 _, train = run_train(cfg, TrainConfig(epochs=20, seed=4), work + "/f.feat", manifest,
                      work + "/m.bin")
 evaluated = run_eval(cfg, work + "/f.feat", manifest, work + "/m.bin")
@@ -592,8 +598,9 @@ with open(work + "/reports.txt", "w") as fh:
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
     """Extract + train + eval in fresh processes with 1 and 2 BLAS threads;
-    the training GEMMs are where a threaded BLAS could reorder sums.  The
-    feature file, the model file and the train and eval report reprs must
+    the training GEMMs and the GEMM row passes of a classic, periodic
+    bior2.6 extract are where a threaded BLAS could reorder sums.  The
+    feature files, the model file and the train and eval report reprs must
     all match."""
     src = os.path.dirname(os.path.dirname(synth.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -604,6 +611,6 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
         subprocess.run([sys.executable, "-c", _EXTRACT_AND_TRAIN, str(work)],
                        env=env, check=True, timeout=300)
         blobs.append(tuple((work / name).read_bytes()
-                           for name in ("f.feat", "m.bin", "reports.txt")))
-    assert b"TrainReport(" in blobs[0][2] and b"EvalReport(" in blobs[0][2]
+                           for name in ("f.feat", "c.feat", "m.bin", "reports.txt")))
+    assert b"TrainReport(" in blobs[0][3] and b"EvalReport(" in blobs[0][3]
     assert blobs[0] == blobs[1]

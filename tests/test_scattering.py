@@ -1,5 +1,7 @@
 """Decimating convolution and both scattering cascades against brute oracles."""
 
+import os
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -198,10 +200,76 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     x = np.random.default_rng(seed).standard_normal((h, w))
     with mock.patch.object(scattering, "_BLOCK", block):
         got = conv2_decimated(x, kern, boundary, s)
-    rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
+        if len(kern.factor) >= scattering.GEMM_MIN_TAPS:
+            # a GEMM row pass rounds otherwise (test_gemm_row_pass_is_shift_equivariant);
+            # the column pass after it is still the tap loop
+            rows = scattering._conv1d_decimated(x, kern, boundary, s, axis=1)
+        else:
+            rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
     want = _unblocked_pass(rows, kern.factor, kern.origin, boundary, s, axis=0)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _gemm_shift_cases(draw):
+    """A periodic plane whose sides are multiples of the stride, a kernel of
+    GEMM_MIN_TAPS or more taps (bior2.6's low-pass or random taps), a shift
+    by a multiple of the stride on each axis, and a block size."""
+    s = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        kern = _kern("bior2.6", SCALE)
+    else:
+        k = draw(st.integers(scattering.GEMM_MIN_TAPS, 16))
+        kern = Kernel2D(factor=rng.standard_normal(k), kind=SCALE, origin=draw(st.integers(0, k - 1)))
+    side = st.integers(1, 48 // s).map(lambda q: q * s).filter(
+        lambda n: max(_reach(n, kern, s)) <= n)
+    h, w = draw(side), draw(side)
+    shift = (s * draw(st.integers(0, h // s - 1)), s * draw(st.integers(0, w // s - 1)))
+    return kern, s, rng.standard_normal((h, w)), shift, draw(st.integers(1, 4096))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_gemm_shift_cases())
+def test_gemm_row_pass_is_shift_equivariant(case):
+    """Under the periodic boundary, shifting the input by (a*s, b*s) rolls
+    the output by (a, b) bit for bit: every output of the GEMM row pass is
+    computed the same way wherever it sits in its tile and its GEMM, and
+    whatever the GEMM's row count that the block size sets."""
+    kern, s, x, (dy, dx), block = case
+    with mock.patch.object(scattering, "_BLOCK", block):
+        base = conv2_decimated(x, kern, "periodic", s)
+        moved = conv2_decimated(np.roll(x, (dy, dx), axis=(0, 1)), kern, "periodic", s)
+    assert moved.tobytes() == np.roll(base, (dy // s, dx // s), axis=(0, 1)).tobytes()
+    assert base.tobytes() == conv2_decimated(x, kern, "periodic", s).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gemm_shift_test_holds_under_one_and_two_blas_threads(tmp_path, threads):
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(p for p in (here, os.path.dirname(os.path.dirname(scattering.__file__)),
+                                       os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+    code = "import test_scattering as t; t.test_gemm_row_pass_is_shift_equivariant()"
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True, timeout=300)
+
+
+def test_tile_band_holds_the_taps_once_per_kernel_and_stride():
+    pair = make_filter_pair("bior2.6")
+    kern = make_kernel2d(pair, SCALE, True)
+    for s in (1, 2, 3):
+        band = scattering._tile_band(kern, s)
+        assert band is scattering._tile_band(make_kernel2d(pair, SCALE, unit_dc=True), s)
+        assert band.shape == ((scattering._TILE - 1) * s + 13, scattering._TILE)
+        for b in range(scattering._TILE):
+            col = np.zeros(len(band))
+            col[b * s:b * s + 13] = kern.factor
+            assert band[:, b].tobytes() == col.tobytes()
+        with pytest.raises(ValueError):
+            band[0, 0] = 1.0
+    assert scattering._tile_band.cache_info().maxsize is not None
 
 
 def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
