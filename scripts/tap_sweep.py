@@ -1,14 +1,15 @@
 """Tap loop versus GEMM row pass, per kernel length and plane size.
 
-For each kernel length and plane, times one decimating row pass of
-scattering._conv1d_decimated as the tap loop and as the GEMM row pass, in
+For each kernel length and plane, times one decimating row pass, built by
+scattering._pass_plan, as the tap loop and as the GEMM row pass, in
 alternating rounds.  Each path is forced at every length by setting
-scattering.GEMM_MIN_TAPS above or below it, so the table shows where the
-threshold should sit.  The kernels are the filter bank's: bior1.1's
-low-pass (2 taps), bior2.2's high-pass (3), bior2.2's low-pass (5),
-bior1.3's low-pass (6) and bior2.6's low-pass (13), all with the
-symmetric boundary.  Prints each path's median time and how many rounds
-the GEMM won.  BLAS runs on one thread, as in the benchmark:
+scattering.GEMM_MIN_TAPS above or below it and dropping the cached plans,
+so the table shows where the threshold should sit.  The kernels are the
+filter bank's: bior1.1's low-pass (2 taps), bior2.2's high-pass (3),
+bior2.2's low-pass (5), bior1.3's low-pass (6) and bior2.6's low-pass
+(13), all with the symmetric boundary.  Prints each path's median time
+and how many rounds the GEMM won.  BLAS runs on one thread, as in the
+benchmark:
 
     PYTHONPATH=src python scripts/tap_sweep.py
 """
@@ -33,9 +34,11 @@ SIZES = ("64x64", "640x360", "1280x720")
 
 def seconds(x, kernel, stride, min_taps, repeats):
     scattering.GEMM_MIN_TAPS = min_taps
+    scattering._pass_plan.cache_clear()  # a cached plan keeps the engine it was built with
+    row_pass = scattering._pass_plan(kernel, x.shape, "symmetric", stride, 1, scattering._BLOCK)
     t0 = time.perf_counter()
     for _ in range(repeats):
-        scattering._conv1d_decimated(x, kernel, "symmetric", stride, axis=1)
+        row_pass(x)
     return (time.perf_counter() - t0) / repeats
 
 
@@ -61,7 +64,7 @@ def main():
             repeats = max(1, round(args.mpx * 1e6 / (w * h)))
             loop = k + 1   # every kernel takes the tap loop
             gemm = 1       # every kernel takes the GEMM
-            seconds(x, kernel, args.stride, loop, 1)  # warm the plan caches
+            seconds(x, kernel, args.stride, loop, 1)  # warm up both paths
             seconds(x, kernel, args.stride, gemm, 1)
             loops, gemms = [], []
             for r in range(args.rounds):

@@ -17,7 +17,7 @@ from .errors import DataError, NumericError, UsageError
 from .filters import dump_filter_lines
 from .flops import NetworkSpec, network_flops, parse_layers, pipeline_flops, theoretical_time
 from .formats import parse_config_file, read_text
-from .metrics import efficiency
+from .metrics import check_peak, efficiency
 from .mlp import TrainConfig
 from .pipeline import (PipelineConfig, overlay_configs, run_bench, run_eval, run_extract,
                        run_infer, run_train)
@@ -161,7 +161,7 @@ def _cmd_infer(args):
 def _cmd_bench(args):
     pcfg, _ = _configs(args)
     if args.peak is not None:
-        efficiency(0.0, args.peak)  # reject a bad peak before any frame is timed
+        check_peak(args.peak)  # reject a bad peak before any frame is timed
     report = run_bench(pcfg, args.model, args.image, args.frames)
     w, h = report.image_dims
     ms = report.wall_seconds / report.frames_processed * 1e3

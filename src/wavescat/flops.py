@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, NumericError
 from .filters import make_filter_pair
+from .metrics import check_peak
 from .mlp import HIDDEN
 from .scattering import ScatterConfig, cascade_steps, feature_length, plane_dims
 
@@ -170,9 +171,7 @@ def network_flops(spec: NetworkSpec) -> FlopsReport:
 
 def theoretical_time(report: FlopsReport, peak_flops: float) -> float:
     """Total count divided by a device peak, in seconds."""
-    if not 0 < peak_flops < math.inf:
-        raise DataError(f"device peak must be finite and positive, got {peak_flops}")
-    return report.total / peak_flops
+    return report.total / check_peak(peak_flops)
 
 
 def parse_layer_line(line: str) -> LayerSpec:

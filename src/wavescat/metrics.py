@@ -104,10 +104,16 @@ def multiclass_accuracy(matrix: ConfusionMatrix) -> float:
     return float(np.trace(matrix.counts)) / matrix.total
 
 
-def efficiency(fps: float, peak_flops: float) -> float:
-    """Hardware-match ratio: FPS per GFLOPS of device peak."""
+def check_peak(peak_flops: float) -> float:
+    """Return a device peak in FLOPS after checking it is finite and positive."""
     if not 0 < peak_flops < np.inf:
         raise DataError(f"device peak must be finite and positive, got {peak_flops}")
+    return peak_flops
+
+
+def efficiency(fps: float, peak_flops: float) -> float:
+    """Hardware-match ratio: FPS per GFLOPS of device peak."""
+    check_peak(peak_flops)
     if fps < 0:
         raise DataError(f"fps must be non-negative, got {fps}")
     return fps / (peak_flops / 1e9)

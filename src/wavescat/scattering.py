@@ -20,8 +20,9 @@ Each convolution is a row pass and then a column pass.  The row pass of a
 kernel with at least GEMM_MIN_TAPS taps (bior2.6's 13-tap low-pass) runs
 as fixed-shape BLAS GEMMs; every other pass is a loop of one numpy
 multiply and add per tap.  Both are deterministic and shift-equivariant
-bit for bit, under any number of BLAS threads, but their roundings differ
-(see _conv1d_decimated).
+bit for bit, under any number of BLAS threads, but their roundings differ.
+_pass_plan lays each pass out once per kernel, plane shape, boundary,
+stride and axis, and picks its engine.
 """
 
 from __future__ import annotations
@@ -133,48 +134,6 @@ def _pads(n: int, k: int, origin: int, s: int) -> tuple[int, int, int]:
     return m, origin, max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
 
 
-def _extension(n: int, k: int, origin: int, boundary: str, s: int):
-    """(output length, lo, hi) of one pass over an axis of n samples.
-    `lo`/`hi` are read-only indices of the samples copied in front of and
-    behind the axis, both None when the pass reads its input in place."""
-    m, pad_lo, pad_hi = _pads(n, k, origin, s)
-    if pad_lo == pad_hi == 0:
-        return m, None, None
-    if boundary == "symmetric":
-        # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
-        lo = np.arange(pad_lo - 1, -1, -1)
-        hi = np.arange(n - 1, n - 1 - pad_hi, -1)
-    else:
-        lo = np.arange(-pad_lo, 0) % n
-        hi = np.arange(n, n + pad_hi) % n
-    lo.flags.writeable = hi.flags.writeable = False
-    return m, lo, hi
-
-
-# One extract makes at most 16 pass shapes, so 256 plans cover many configs
-# and sizes.  A plan holds index arrays no longer than the kernel and one
-# slice per tap per block.
-@lru_cache(maxsize=256)
-def _pass_plan(in_shape: tuple[int, int], k: int, origin: int, boundary: str,
-               s: int, axis: int, block: int):
-    """Everything about one 1D pass that depends only on its shape:
-    (lo, hi, output shape, scratch rows, blocks), with `lo`/`hi` as
-    _extension gives them.  Each block is (output rows, scratch rows, one
-    input index per tap)."""
-    m, lo, hi = _extension(in_shape[axis], k, origin, boundary, s)
-    rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
-    step = max(1, block // cols)
-    blocks = []
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        if axis == 0:
-            taps = tuple(slice(r0 * s + t, (r1 - 1) * s + t + 1, s) for t in range(k))
-        else:
-            taps = tuple((slice(r0, r1), slice(t, t + (m - 1) * s + 1, s)) for t in range(k))
-        blocks.append((slice(r0, r1), slice(0, r1 - r0), taps))
-    return lo, hi, out_shape, min(step, rows), tuple(blocks)
-
-
 # Output samples per block of a 1D pass (256 KiB of float64): the block's
 # tap products stay in cache instead of streaming plane-sized temporaries.
 # A GEMM row pass takes as many rows per GEMM as fit this many inputs.
@@ -189,98 +148,93 @@ _TILE = 8
 _TILE_ROWS = 64
 
 
-@lru_cache(maxsize=32)
-def _tile_band(kernel: Kernel2D, s: int) -> np.ndarray:
-    """The read-only ((_TILE-1)*s + k) x _TILE matrix whose column b holds
-    the kernel's taps at rows b*s .. b*s+k-1: a tile's inputs times it are
-    the tile's outputs.  Built once per kernel and stride."""
-    taps = np.array(kernel.coefficients)
-    k = len(taps)
-    band = np.zeros(((_TILE - 1) * s + k, _TILE))
-    for b in range(_TILE):
-        band[b * s:b * s + k, b] = taps
-    band.flags.writeable = False
-    return band
+# The default cascade makes 16 passes per plane shape, so 256 plans cover
+# many configs and sizes.  A plan holds index arrays no longer than the
+# kernel and, for the tap loop, one slice per tap per block.
+@lru_cache(maxsize=256)
+def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
+               axis: int, block: int):
+    """One decimating 1D pass of `kernel` along `axis` over planes of
+    `in_shape`, laid out once: returns a function that maps such a plane to
+    a freshly allocated output and never writes the plane.
 
+    A row pass (axis 1) of a kernel with at least GEMM_MIN_TAPS taps runs as
+    GEMMs over groups of about `block` inputs; every other pass is a tap
+    loop over blocks of about `block` outputs, reading the plane in place
+    when this axis needs no boundary extension.  The tap loop sums each
+    output's taps in the fixed order 0..k-1, so its bits do not depend on
+    the block size.  The GEMM rounds through fused multiply-adds, so its
+    outputs differ from the tap loop's in the last bits (about 4e-16
+    relative); it computes every output the same way, whatever the block
+    size, the output's position or the number of BLAS threads."""
+    coeffs, o = kernel.coefficients, kernel.origin
+    k, n = len(coeffs), in_shape[axis]
+    m, pad_lo, pad_hi = _pads(n, k, o, s)
+    if boundary == "symmetric":
+        # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
+        lo = np.arange(pad_lo - 1, -1, -1)
+        hi = np.arange(n - 1, n - 1 - pad_hi, -1)
+    else:
+        lo = np.arange(-pad_lo, 0) % n
+        hi = np.arange(n, n + pad_hi) % n
 
-@lru_cache(maxsize=64)
-def _tile_plan(in_shape: tuple[int, int], k: int, origin: int, boundary: str,
-               s: int, block: int):
-    """The layout of one GEMM row pass: (lo, hi, output length, tiles per
-    row, extended row width, rows per GEMM, GEMM rows).  The extended row
-    is the row with its extension in front (`origin` samples) and behind;
-    its width reaches the last tile's last input, with zeros past the
-    extension."""
-    rows, n = in_shape
-    m, lo, hi = _extension(n, k, origin, boundary, s)
-    tiles, span = -(-m // _TILE), (_TILE - 1) * s + k
-    width = max((tiles - 1) * _TILE * s + span, origin + n + (0 if hi is None else len(hi)))
-    group = min(rows, max(1, block // (tiles * span)))
-    gemm_rows = -(-group * tiles // _TILE_ROWS) * _TILE_ROWS
-    return lo, hi, m, tiles, width, group, gemm_rows
+    if axis == 1 and k >= GEMM_MIN_TAPS:
+        # Each tile of _TILE outputs reads its window of `span` extended
+        # inputs as one GEMM row.  Column b of the band holds the taps at
+        # rows b*s .. b*s+k-1, so a window times the band is the tile.
+        rows, span, tiles = in_shape[0], (_TILE - 1) * s + k, -(-m // _TILE)
+        band = np.zeros((span, _TILE))
+        for b in range(_TILE):
+            band[b * s:b * s + k, b] = coeffs
+        # the extended row (extension in front and behind) reaches the last
+        # tile's last input, with zeros past the extension
+        width = max((tiles - 1) * _TILE * s + span, o + n + pad_hi)
+        group = min(rows, max(1, block // (tiles * span)))
+        gemm_rows = -(-group * tiles // _TILE_ROWS) * _TILE_ROWS
 
+        def gemm_pass(x: np.ndarray) -> np.ndarray:
+            ext = np.zeros((group, width))
+            a = np.zeros((gemm_rows, span))
+            c = np.empty((gemm_rows, _TILE))
+            windows = sliding_window_view(ext, span, axis=1)[:, :tiles * _TILE * s:_TILE * s]
+            gathered = a[:group * tiles].reshape(group, tiles, span)
+            out = np.empty((rows, m))
+            for r0 in range(0, rows, group):
+                src = x[r0:r0 + group]
+                g = len(src)
+                ext[:g, :o] = src[:, lo]
+                ext[:g, o:o + n] = src
+                ext[:g, o + n:o + n + pad_hi] = src[:, hi]
+                # a last, shorter group leaves the previous group's finite
+                # rows behind it in `a`; their outputs are dropped
+                gathered[:g] = windows[:g]
+                np.matmul(a, band, out=c)
+                out[r0:r0 + g] = c[:g * tiles].reshape(g, tiles * _TILE)[:, :m]
+            return out
+        return gemm_pass
 
-def _tiled_row_pass(x: np.ndarray, kernel: Kernel2D, boundary: str, s: int) -> np.ndarray:
-    """A row pass as one GEMM per group of rows: each tile of _TILE outputs
-    reads its window of (_TILE-1)*s + k extended inputs as one GEMM row,
-    and the GEMM multiplies those rows by the kernel's band."""
-    band, o = _tile_band(kernel, s), kernel.origin
-    span = len(band)
-    lo, hi, m, tiles, width, group, gemm_rows = _tile_plan(
-        x.shape, len(kernel.coefficients), o, boundary, s, _BLOCK)
-    n = x.shape[1]
-    ext = np.zeros((group, width))
-    a = np.zeros((gemm_rows, span))
-    c = np.empty((gemm_rows, _TILE))
-    windows = sliding_window_view(ext, span, axis=1)[:, :tiles * _TILE * s:_TILE * s]
-    gathered = a[:group * tiles].reshape(group, tiles, span)
-    out = np.empty((x.shape[0], m))
-    for r0 in range(0, x.shape[0], group):
-        src = x[r0:r0 + group]
-        g = len(src)
-        ext[:g, o:o + n] = src
-        if lo is not None:
-            ext[:g, :o] = src[:, lo]
-            ext[:g, o + n:o + n + len(hi)] = src[:, hi]
-        # a last, shorter group leaves the previous group's finite rows
-        # behind it in `a`; their outputs are dropped
-        gathered[:g] = windows[:g]
-        np.matmul(a, band, out=c)
-        out[r0:r0 + g] = c[:g * tiles].reshape(g, tiles * _TILE)[:, :m]
-    return out
+    rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
+    step = max(1, block // cols)
+    blocks = []  # (output rows, scratch rows, one input index per tap)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        if axis == 0:
+            taps = tuple(slice(r0 * s + t, (r1 - 1) * s + t + 1, s) for t in range(k))
+        else:
+            taps = tuple((slice(r0, r1), slice(t, t + (m - 1) * s + 1, s)) for t in range(k))
+        blocks.append((slice(r0, r1), slice(0, r1 - r0), taps))
 
-
-def _conv1d_decimated(x: np.ndarray, kernel: Kernel2D, boundary: str, s: int,
-                      axis: int) -> np.ndarray:
-    """One decimating 1D pass along `axis` into a freshly allocated array.
-
-    `x` is never written.  A row pass (axis 1) of a kernel with at least
-    GEMM_MIN_TAPS taps runs as _tiled_row_pass.  Every other pass is a tap
-    loop: when the kernel needs no boundary extension on this axis `x` is
-    read in place, otherwise it is copied once into an extended plane, and
-    the output is filled in blocks of rows through one block-sized scratch
-    buffer per pass, as laid out by the pass's cached _pass_plan.  The tap
-    loop sums each output's taps in the fixed order 0..k-1 into one
-    accumulator, so its bits do not depend on the block size.  The GEMM
-    rounds through fused multiply-adds, so its outputs differ from the tap
-    loop's in the last bits (about 4e-16 relative); it computes every output
-    the same way, whatever the block size, the output's position or the
-    number of BLAS threads."""
-    coeffs, origin = kernel.coefficients, kernel.origin
-    if axis == 1 and len(coeffs) >= GEMM_MIN_TAPS:
-        return _tiled_row_pass(x, kernel, boundary, s)
-    # _BLOCK is read per call and keys the plan, so patching it re-plans
-    lo, hi, out_shape, scratch_rows, blocks = _pass_plan(
-        x.shape, len(coeffs), origin, boundary, s, axis, _BLOCK)
-    ext = x if lo is None else np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis=axis)
-    out = np.empty(out_shape)
-    tmp = np.empty((scratch_rows, out_shape[1]))
-    for dst, scratch, taps in blocks:
-        acc = np.multiply(ext[taps[0]], coeffs[0], out[dst])
-        part = tmp[scratch]
-        for src, c in zip(taps[1:], coeffs[1:]):
-            np.add(acc, np.multiply(ext[src], c, part), acc)
-    return out
+    def tap_loop(x: np.ndarray) -> np.ndarray:
+        ext = np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis) if pad_lo or pad_hi else x
+        out = np.empty(out_shape)
+        tmp = np.empty((min(step, rows), cols))
+        for dst, scratch, taps in blocks:
+            acc = np.multiply(ext[taps[0]], coeffs[0], out[dst])
+            part = tmp[scratch]
+            for src, c in zip(taps[1:], coeffs[1:]):
+                np.add(acc, np.multiply(ext[src], c, part), acc)
+        return out
+    return tap_loop
 
 
 def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
@@ -316,8 +270,9 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
             raise DataError(
                 f"kernel side {len(c)} does not fit plane of shape {x.shape} "
                 f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
-    rows = _conv1d_decimated(x, kernel, boundary, s, axis=1)
-    return _conv1d_decimated(rows, kernel, boundary, s, axis=0)
+    # _BLOCK is read per call and keys the plan, so patching it re-plans
+    rows = _pass_plan(kernel, x.shape, boundary, s, 1, _BLOCK)(x)
+    return _pass_plan(kernel, rows.shape, boundary, s, 0, _BLOCK)(rows)
 
 
 class Step(NamedTuple):

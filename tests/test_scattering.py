@@ -203,7 +203,7 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
         if len(kern.factor) >= scattering.GEMM_MIN_TAPS:
             # a GEMM row pass rounds otherwise (test_gemm_row_pass_is_shift_equivariant);
             # the column pass after it is still the tap loop
-            rows = scattering._conv1d_decimated(x, kern, boundary, s, axis=1)
+            rows = scattering._pass_plan(kern, x.shape, boundary, s, 1, block)(x)
         else:
             rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
     want = _unblocked_pass(rows, kern.factor, kern.origin, boundary, s, axis=0)
@@ -256,20 +256,19 @@ def test_gemm_shift_test_holds_under_one_and_two_blas_threads(tmp_path, threads)
     subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True, timeout=300)
 
 
-def test_tile_band_holds_the_taps_once_per_kernel_and_stride():
+def test_one_plan_per_kernel_shape_and_stride():
     pair = make_filter_pair("bior2.6")
     kern = make_kernel2d(pair, SCALE, True)
+    x = np.random.default_rng(8).standard_normal((20, 30))
+    plans = set()
     for s in (1, 2, 3):
-        band = scattering._tile_band(kern, s)
-        assert band is scattering._tile_band(make_kernel2d(pair, SCALE, unit_dc=True), s)
-        assert band.shape == ((scattering._TILE - 1) * s + 13, scattering._TILE)
-        for b in range(scattering._TILE):
-            col = np.zeros(len(band))
-            col[b * s:b * s + 13] = kern.factor
-            assert band[:, b].tobytes() == col.tobytes()
-        with pytest.raises(ValueError):
-            band[0, 0] = 1.0
-    assert scattering._tile_band.cache_info().maxsize is not None
+        plan = scattering._pass_plan(kern, x.shape, "symmetric", s, 1, 1 << 15)
+        assert plan is scattering._pass_plan(make_kernel2d(pair, SCALE, unit_dc=True), x.shape,
+                                             "symmetric", s, 1, 1 << 15)
+        plans.add(plan)
+        want = _unblocked_pass(x, kern.factor, kern.origin, "symmetric", s, axis=1)
+        assert oracles.rel_err(plan(x), want) <= 1e-12  # the GEMM row pass
+    assert len(plans) == 3
 
 
 def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
@@ -283,6 +282,17 @@ def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
         assert got.tobytes() == want.tobytes()
         outs.add(got.tobytes())
     assert len(outs) > 1  # the zeros' signs do reach the output
+    # GEMM row passes of kernels with one length and origin but other taps
+    x = np.random.default_rng(4).standard_normal((20, 24))
+    plans = set()
+    for seed in range(3):
+        taps = np.random.default_rng(seed).standard_normal(13)
+        kern = Kernel2D(factor=taps, kind=SCALE, origin=6)
+        got = conv2_decimated(x, kern, "periodic", 2)
+        want = oracles.brute_conv2(x, kern.taps, kern.origin, "periodic", 2)
+        assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
+        plans.add(scattering._pass_plan(kern, x.shape, "periodic", 2, 1, scattering._BLOCK))
+    assert len(plans) == 3
 
 
 def test_patched_block_changes_the_plan_blocks():
@@ -292,31 +302,25 @@ def test_patched_block_changes_the_plan_blocks():
 
     def spy(*key):
         plan = real(*key)
-        seen.append(len(plan[-1]))
+        seen.append((key[-1], plan))
         return plan
 
     with mock.patch.object(scattering, "_pass_plan", spy):
         whole = conv2_decimated(x, kern, "symmetric", 2)
         with mock.patch.object(scattering, "_BLOCK", 20):
             split = conv2_decimated(x, kern, "symmetric", 2)
-    # rows pass (24, 20) then columns pass (12, 20): one block each, then
-    # one output row per block once a block holds 20 samples
-    assert seen == [1, 1, 24, 12]
+    # rows pass then columns pass, each planned again for the patched block
+    assert [block for block, _ in seen] == [1 << 15, 1 << 15, 20, 20]
+    assert len({plan for _, plan in seen}) == 4
     assert whole.tobytes() == split.tobytes()
 
 
-def test_pass_plans_are_read_only_and_the_cache_is_bounded():
-    lo, hi, _, _, blocks = scattering._pass_plan((9, 7), 13, 6, "symmetric", 2, 0, 1 << 15)
-    for a in (lo, hi):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
-    assert isinstance(blocks, tuple) and isinstance(blocks[0][2], tuple)
-    assert scattering._pass_plan((16, 16), 2, 0, "symmetric", 2, 1, 1 << 15)[:2] == (None, None)
+def test_pass_plan_cache_is_bounded():
+    kern = _kern("bior1.1", SCALE)
     limit = scattering._pass_plan.cache_info().maxsize
     assert limit is not None
     for n in range(1, limit + 20):
-        scattering._pass_plan((n, 8), 2, 0, "periodic", 1, 0, 1 << 15)
+        scattering._pass_plan(kern, (n, 8), "periodic", 1, 0, 1 << 15)
     assert scattering._pass_plan.cache_info().currsize <= limit
     assert selection_names.cache_info().maxsize is not None
 
