@@ -14,14 +14,15 @@ High-pass filters follow the alternating-flip convention
     rec_hi[n] = (-1)^(n + c) * dec_lo[2c - 1 - n]
 
 where c is the center of the product filter dec_lo*rec_lo (c = 1 for the
-Nr=1 pairs, c = 0 for the Nr=2 pairs).  With this alignment the two-channel
-perfect-reconstruction identities hold exactly:
+Nr=1 pairs, c = 0 for the Nr=2 pairs); _DEC_HI is the first formula
+written out.  With this alignment the two-channel perfect-reconstruction
+identities hold exactly:
 
     H(z)Ht(z) + G(z)Gt(z) = 2 z^c        (distortion is a pure delay)
     H(z)Ht(-z) + G(z)Gt(-z) = 0          (alias cancels)
 
-A construction-time self-check asserts both identities to 1e-10 along with
-the sum rules sum(h) = sqrt(2), sum(g) = 0.
+tests/oracles.py checks both identities in exact rational arithmetic on
+its own copy of the tables, and the tests pin these tables to it bit for bit.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ _DEC_LO = {
     "bior1.3": ((-1, 1, 8, 8, 1, -1), 16, -2),
     "bior2.6": ((-5, 10, 34, -78, -123, 324, 700, 324, -123, -78, 34, 10, -5), 1024, -6),
 }
-_REC_LO = {
-    "bior1.1": ((1, 1), 2, 0),
-    "bior2.2": ((1, 2, 1), 4, -1),
-    "bior1.3": ((1, 1), 2, 0),
-    "bior2.6": ((1, 2, 1), 4, -1),
+_DEC_HI = {
+    "bior1.1": ((1, -1), 2, 0),
+    "bior2.2": ((1, -2, 1), 4, 0),
+    "bior1.3": ((1, -1), 2, 0),
+    "bior2.6": ((1, -2, 1), 4, 0),
 }
-# Center of the product filter dec_lo * rec_lo (integer by construction).
-_PRODUCT_CENTER = {"bior1.1": 1, "bior2.2": 0, "bior1.3": 1, "bior2.6": 0}
 
 SCALE = "scale"
 WAVELET_DIAGONAL = "wavelet-diagonal"
@@ -107,56 +106,18 @@ class Kernel2D:
         return float(self.taps.sum())
 
 
-def _values(nums, den):
-    # exact: den is a power of two, so sqrt(2)/den only shifts the exponent
-    return np.asarray(nums, dtype=np.float64) * (SQRT2 / den)
+def _pair(name: str) -> FilterPair:
+    """One basis's h and g from the two tables, as read-only float taps."""
+    fields = {}
+    for key, (nums, den, lo) in (("h", _DEC_LO[name]), ("g", _DEC_HI[name])):
+        # exact: den is a power of two, so sqrt(2)/den only shifts the exponent
+        fields[key] = np.asarray(nums, dtype=np.float64) * (SQRT2 / den)
+        fields[key].flags.writeable = False
+        fields[key + "_origin"] = -lo
+    return FilterPair(name, **fields)
 
 
-def _alt_reflect(f, lo, offset, parity):
-    """out[n] = (-1)^(n+parity) * f[offset-n]; returns (taps, support_low)."""
-    hi = lo + len(f) - 1
-    out_lo = offset - hi
-    out = np.empty(len(f), dtype=np.float64)
-    for i, n in enumerate(range(out_lo, offset - lo + 1)):
-        v = f[(offset - n) - lo]
-        out[i] = -v if (n + parity) % 2 else v
-    return out, out_lo
-
-
-def _aligned_sum(a, alo, b, blo):
-    lo = min(alo, blo)
-    hi = max(alo + len(a), blo + len(b))
-    out = np.zeros(hi - lo)
-    out[alo - lo : alo - lo + len(a)] += a
-    out[blo - lo : blo - lo + len(b)] += b
-    return out, lo
-
-
-def _check_pair(name, h, h_lo, g, g_lo):
-    """Assert sum rules and the perfect-reconstruction identities (1e-10)."""
-    if abs(h.sum() - SQRT2) > 1e-12:
-        raise AssertionError(f"{name}: sum(h) != sqrt(2)")
-    if abs(g.sum()) > 1e-12:
-        raise AssertionError(f"{name}: sum(g) != 0")
-    rec, rden, rlo = _REC_LO[name]
-    hrec = _values(rec, rden)
-    c = _PRODUCT_CENTER[name]
-    grec, grec_lo = _alt_reflect(h, h_lo, 2 * c - 1, c)
-    dist, dlo = _aligned_sum(
-        np.convolve(hrec, h), rlo + h_lo, np.convolve(grec, g), grec_lo + g_lo
-    )
-    spike = np.zeros_like(dist)
-    spike[c - dlo] = 2.0
-    if np.max(np.abs(dist - spike)) > 1e-10:
-        raise AssertionError(f"{name}: perfect-reconstruction distortion check failed")
-    sign_h = np.where(np.arange(h_lo, h_lo + len(h)) % 2 == 0, 1.0, -1.0)
-    sign_g = np.where(np.arange(g_lo, g_lo + len(g)) % 2 == 0, 1.0, -1.0)
-    alias, _ = _aligned_sum(
-        np.convolve(hrec, h * sign_h), rlo + h_lo,
-        np.convolve(grec, g * sign_g), grec_lo + g_lo,
-    )
-    if np.max(np.abs(alias)) > 1e-10:
-        raise AssertionError(f"{name}: alias cancellation check failed")
+_PAIRS = {name: _pair(name) for name in BASES}
 
 
 def make_filter_pair(basis_name: str) -> FilterPair:
@@ -170,26 +131,12 @@ def make_filter_pair(basis_name: str) -> FilterPair:
     Returns
     -------
     FilterPair
-        Immutable and cached; repeated calls return the same pair, however
-        the argument is passed.
+        Immutable and built once at import; repeated calls return the same
+        pair, however the argument is passed.
     """
-    return _filter_pair(basis_name)
-
-
-# The cached builders take their arguments positionally from the public
-# functions, so a keyword call and a positional call share one entry.
-@lru_cache(maxsize=len(BASES))
-def _filter_pair(basis_name: str) -> FilterPair:
-    if basis_name not in _DEC_LO:
+    if basis_name not in BASES:
         raise DataError(f"unknown wavelet basis {basis_name!r}; supported: {', '.join(BASES)}")
-    nums, den, h_lo = _DEC_LO[basis_name]
-    h = _values(nums, den)
-    rec, rden, rlo = _REC_LO[basis_name]
-    g, g_lo = _alt_reflect(_values(rec, rden), rlo, 1, 0)
-    _check_pair(basis_name, h, h_lo, g, g_lo)
-    for a in (h, g):
-        a.flags.writeable = False
-    return FilterPair(basis_name, h, g, h_origin=-h_lo, g_origin=-g_lo)
+    return _PAIRS[basis_name]
 
 
 def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2D:
@@ -205,6 +152,8 @@ def make_kernel2d(pair: FilterPair, kind: str, unit_dc: bool = False) -> Kernel2
     return _kernel2d(pair, kind, bool(unit_dc))
 
 
+# The cached builder takes its arguments positionally from make_kernel2d,
+# so a keyword call and a positional call share one entry.
 @lru_cache(maxsize=3 * len(BASES))
 def _kernel2d(pair: FilterPair, kind: str, unit_dc: bool) -> Kernel2D:
     if kind == SCALE:
@@ -224,8 +173,7 @@ def _kernel2d(pair: FilterPair, kind: str, unit_dc: bool) -> Kernel2D:
 def dump_filter_lines():
     """Yield the filter-table dump: '# basis filter' headers, then one
     coefficient per line at 17 significant digits."""
-    for name in BASES:
-        pair = make_filter_pair(name)
+    for name, pair in _PAIRS.items():
         for label, f in (("h", pair.h), ("g", pair.g)):
             yield f"# {name} {label}"
             for v in f:

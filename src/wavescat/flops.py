@@ -13,8 +13,8 @@ Any count above 2^63-1 is rejected rather than silently wrapped.
 
 The scattering pipeline accounting (pipeline_flops) costs the steps of
 scattering.cascade_steps, the same list scatter() runs: each convolution
-as a single-channel conv2d on its output dims with the kernel's true side
-length, one op per element for each modulus, then the head via network_flops.
+as a single-channel conv2d on its output dims with the side of its kernel in
+scattering.kernel_bank, one op per element for each modulus, then the head.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, NumericError
-from .filters import make_filter_pair
 from .metrics import check_peak
 from .mlp import HIDDEN
-from .scattering import ScatterConfig, cascade_steps, feature_length, plane_dims
+from .scattering import ScatterConfig, cascade_steps, feature_length, kernel_bank, plane_dims
 
 _MAX_COUNT = 2**63 - 1
 
@@ -221,16 +220,15 @@ def pipeline_flops(width: int, height: int, config: ScatterConfig, classes: int,
     MLP head on the selected features, costed by network_flops."""
     if width < 1 or height < 1 or classes < 1:
         raise DataError("pipeline_flops needs width, height, classes >= 1")
-    pairs = [make_filter_pair(b) for b in config.level_bases]
-    sides = {"phi": [len(p.h) for p in pairs], "psi": [len(p.g) for p in pairs]}
     dims = plane_dims(width, height, config)
+    bank = kernel_bank(config)
     per = []  # (label, flops)
     for step in cascade_steps(config):
         w, h = dims[step.out]
         if step.kernel is not None:
             kind, level = step.kernel
             per.append((f"{step.out} = {step.src}*{kind}_{level}",
-                        conv_flops(w, h, sides[kind][level - 1], 1, 1, False)))
+                        conv_flops(w, h, len(bank[step.kernel].factor), 1, 1, False)))
         if step.modulus:
             per.append((f"|{step.out}|", relu_flops(w * h)))
     layers = [spec for o in hidden for spec in (LayerSpec("fc", o=o), LayerSpec("relu"))]

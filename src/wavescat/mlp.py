@@ -96,6 +96,14 @@ def _check_features(model: MlpModel, x: np.ndarray):
         raise DataError(f"feature length {x.shape[-1]} does not match model input {model.dims[0]}")
 
 
+def _one_row(model: MlpModel, features) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 1:
+        raise DataError(f"expected a 1D feature vector, got shape {x.shape}")
+    _check_features(model, x)
+    return x[None, :]
+
+
 def _forward_batch(model: MlpModel, x: np.ndarray):
     """Returns (score matrix, list of post-ReLU activations per layer input)."""
     acts = [x]
@@ -112,11 +120,7 @@ def _forward_batch(model: MlpModel, x: np.ndarray):
 
 def mlp_forward(model: MlpModel, features) -> np.ndarray:
     """Class scores FC(ReLU(FC(ReLU(FC(x))))) for one feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"expected a 1D feature vector, got shape {x.shape}")
-    _check_features(model, x)
-    scores, _ = _forward_batch(model, x[None, :])
+    scores, _ = _forward_batch(model, _one_row(model, features))
     return scores[0]
 
 
@@ -155,13 +159,10 @@ def mlp_backward(model: MlpModel, features, target_class: int):
 
     Returns (dweights, dbiases), matching model.weights/biases shapes.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"expected a 1D feature vector, got shape {x.shape}")
-    _check_features(model, x)
+    x = _one_row(model, features)
     if not 0 <= target_class < model.classes:
         raise DataError(f"target class {target_class} out of range 0..{model.classes - 1}")
-    _, dws, dbs = _batch_loss_grads(model, x[None, :], np.array([target_class]))
+    _, dws, dbs = _batch_loss_grads(model, x, np.array([target_class]))
     return dws, dbs
 
 

@@ -178,7 +178,9 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     other exception cancels the images not yet started and propagates as
     soon as its image's result is read.  config.threads caps the workers;
     planes under POOL_MIN_PIXELS, or a single worker, run on this thread.
+    A config whose kernels do not fit its planes fails before any read.
     """
+    feature_length(config.width, config.height, config.scatter)
     records = read_manifest(manifest_path)
     load_labels(records, config.classes)
     small = config.width * config.height < POOL_MIN_PIXELS

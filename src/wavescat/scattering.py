@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .filters import (
-    BASES,
+    BASES,  # re-exported for callers that import it from here
     SCALE,
     WAVELET_DIAGONAL,
     Kernel2D,
@@ -94,24 +94,34 @@ class ScatterConfig:
         if self.depth > MAX_DEPTH:
             raise DataError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
         for b in self.level_bases:
-            if b not in BASES:
-                raise DataError(f"unknown wavelet basis {b!r}; supported: {', '.join(BASES)}")
-        if self.boundary not in BOUNDARIES:
-            raise DataError(f"unknown boundary mode {self.boundary!r}")
-        if self.decimate < 1:
-            raise DataError(f"decimate must be >= 1, got {self.decimate}")
+            make_filter_pair(b)  # rejects an unknown basis
+        _checked_stride(self.boundary, self.decimate)  # checks the boundary mode too
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}")
         if self.smooth_with not in SMOOTH_WITH:
             raise DataError(f"smooth_with must be one of {SMOOTH_WITH}, got {self.smooth_with!r}")
-        if not self.selection:
-            raise DataError("empty selection: nothing to put in the feature vector")
-        valid = selection_names(self.depth)
-        for name in self.selection:
-            if name not in valid:
-                raise DataError(f"unknown selection {name!r}; valid: {', '.join(valid)}")
+        valid = _check_selection(self.selection, self.depth)
         # declared order, once each: the order feature files store it in
         object.__setattr__(self, "selection", tuple(n for n in valid if n in self.selection))
+
+
+def _check_selection(selection, depth: int) -> tuple[str, ...]:
+    """selection_names(depth), once `selection` is checked: non-empty, all among them."""
+    if not selection:
+        raise DataError("empty selection: nothing to put in the feature vector")
+    valid = selection_names(depth)
+    for name in selection:
+        if name not in valid:
+            raise DataError(f"unknown selection {name!r}; valid: {', '.join(valid)}")
+    return valid
+
+
+def _checked_stride(boundary: str, decimate: int) -> int:
+    if boundary not in BOUNDARIES:
+        raise DataError(f"unknown boundary mode {boundary!r}")
+    if decimate < 1:
+        raise DataError(f"decimate must be >= 1, got {decimate}")
+    return int(decimate)
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,16 @@ def _pads(n: int, k: int, origin: int, s: int) -> tuple[int, int, int]:
     axis of n samples."""
     m = _out_len(n, s)
     return m, origin, max(0, (m - 1) * s + (k - 1) - origin - (n - 1))
+
+
+def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
+    k = len(kernel.factor)
+    for n in shape:  # the row pass keeps the row count, so both passes are checked here
+        _, pad_lo, pad_hi = _pads(n, k, kernel.origin, s)
+        if pad_lo > n or pad_hi > n:
+            raise DataError(
+                f"kernel side {k} does not fit plane of shape {shape} "
+                f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
 
 
 # Output samples per block of a 1D pass (256 KiB of float64): the block's
@@ -258,18 +278,8 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     with the tap at the kernel origin aligned to input sample (i*s, j*s).
     """
     x = validate_plane(plane)
-    if boundary not in BOUNDARIES:
-        raise DataError(f"unknown boundary mode {boundary!r}")
-    s = int(decimate)
-    if s < 1:
-        raise DataError(f"decimate must be >= 1, got {decimate}")
-    c, o = kernel.coefficients, kernel.origin
-    for n in x.shape:  # the row pass keeps the row count, so both passes are checked here
-        _, pad_lo, pad_hi = _pads(n, len(c), o, s)
-        if pad_lo > n or pad_hi > n:
-            raise DataError(
-                f"kernel side {len(c)} does not fit plane of shape {x.shape} "
-                f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
+    s = _checked_stride(boundary, decimate)  # checks the boundary mode too
+    _check_fit(x.shape, kernel, s)
     # _BLOCK is read per call and keys the plan, so patching it re-plans
     rows = _pass_plan(kernel, x.shape, boundary, s, 1, _BLOCK)(x)
     return _pass_plan(kernel, rows.shape, boundary, s, 0, _BLOCK)(rows)
@@ -312,22 +322,24 @@ def cascade_steps(config: ScatterConfig) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _kernels(config: ScatterConfig) -> dict[str, list[Kernel2D]]:
-    pairs = [make_filter_pair(b) for b in config.level_bases]
-    return {"phi": [make_kernel2d(p, SCALE, unit_dc=True) for p in pairs],
-            "psi": [make_kernel2d(p, WAVELET_DIAGONAL) for p in pairs]}
+def kernel_bank(config: ScatterConfig) -> dict[tuple[str, int], Kernel2D]:
+    """The kernels scatter() runs, keyed by a step's kernel: (kind, level)."""
+    bank = {}
+    for n, pair in enumerate(map(make_filter_pair, config.level_bases), start=1):
+        bank["phi", n] = make_kernel2d(pair, SCALE, unit_dc=True)
+        bank["psi", n] = make_kernel2d(pair, WAVELET_DIAGONAL)
+    return bank
 
 
 def scatter(plane, config: ScatterConfig) -> ScatterOutput:
     """Run cascade_steps(config) on one plane."""
     planes = {"x": validate_plane(plane)}
-    bank = _kernels(config)
+    bank = kernel_bank(config)
     for step in cascade_steps(config):
         y = planes[step.src]
         fresh = step.kernel is not None
         if fresh:
-            kind, level = step.kernel
-            y = conv2_decimated(y, bank[kind][level - 1], config.boundary, step.decimate)
+            y = conv2_decimated(y, bank[step.kernel], config.boundary, step.decimate)
         if step.modulus:
             # in place only on this step's own convolution output: a
             # modulus-only step's source (A1 = |S0|) is an output plane
@@ -345,22 +357,21 @@ def feature_vector(output: ScatterOutput, selection) -> np.ndarray:
     of the order names appear in `selection`; each plane is row-major.
     """
     wanted = set(selection)
-    if not wanted:
-        raise DataError("empty selection: nothing to put in the feature vector")
-    valid = selection_names(len(output.u_levels))
-    for name in wanted:
-        if name not in valid:
-            raise DataError(f"unknown selection {name!r}; valid: {', '.join(valid)}")
+    valid = _check_selection(wanted, len(output.u_levels))
     planes = zip(valid, (output.s0, *output.u_levels, *output.s_levels))
     return np.concatenate([p.ravel() for name, p in planes if name in wanted])
 
 
 def plane_dims(width: int, height: int, config: ScatterConfig) -> dict[str, tuple[int, int]]:
     """(width, height) of every plane cascade_steps(config) makes; S0, U
-    and S dims are the same for both variants."""
+    and S dims are the same for both variants.  Raises DataError where a
+    kernel does not fit its source plane, as scatter() would."""
     dims = {"x": (width, height)}
+    bank = kernel_bank(config)
     for step in cascade_steps(config):
         w, h = dims[step.src]
+        if step.kernel is not None:
+            _check_fit((h, w), bank[step.kernel], step.decimate)
         dims[step.out] = (_out_len(w, step.decimate), _out_len(h, step.decimate))
     del dims["x"]
     return dims

@@ -222,6 +222,17 @@ def test_flops_rejects_non_positive_dims(mode, dim, value, capsys):
     assert err.startswith("data error:") and ">= 1" in err
 
 
+def test_flops_rejects_a_config_whose_kernels_do_not_fit(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("width = 8\nheight = 8\nvariant = classic\n"
+                   "bases = bior2.6,bior1.3,bior2.2\nselection = S0,S1\n")
+    rc = main(["flops", "--pipeline", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("data error: kernel side 13 does not fit")
+
+
 def test_flops_peak_and_csv(tmp_path, capsys):
     report = tmp_path / "flops.csv"
     rc = main(["flops", "--pipeline", "--width", "64", "--height", "64",

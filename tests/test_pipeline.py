@@ -277,6 +277,18 @@ def test_extract_records_failures_and_skips(dataset, tmp_path, monkeypatch):
         assert len(vecs) == 4
 
 
+def test_extract_rejects_a_config_whose_kernels_do_not_fit_before_any_image(
+        dataset, tmp_path, monkeypatch):
+    def load(*args):
+        raise AssertionError("an image was read")
+
+    monkeypatch.setattr(pipeline, "_load_plane", load)
+    cfg = replace(CFG64, scatter=replace(CFG64.scatter, decimate=999))
+    with pytest.raises(DataError, match=r"kernel side 3 does not fit plane of shape \(1, 1\)"):
+        run_extract(cfg, dataset, tmp_path / "out.feat")
+    assert not (tmp_path / "out.feat").exists()
+
+
 def test_extract_fails_fast_on_an_unexpected_worker_error(dataset, tmp_path, monkeypatch):
     records = read_manifest(dataset)
     manifest = tmp_path / "fifty.tsv"

@@ -620,6 +620,33 @@ def test_plane_dims_match_actual_shapes():
                 assert s.shape == (dims[f"S{n}"][1], dims[f"S{n}"][0])
 
 
+def _outcome(call):
+    try:
+        call()
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+_small_configs = st.integers(1, 3).flatmap(lambda depth: st.builds(
+    ScatterConfig, depth=st.just(depth),
+    level_bases=st.lists(st.sampled_from(BASES), min_size=depth, max_size=depth),
+    variant=st.sampled_from(scattering.VARIANTS), boundary=st.sampled_from(scattering.BOUNDARIES),
+    decimate=st.integers(1, 3), smooth_with=st.sampled_from(scattering.SMOOTH_WITH),
+    smooth_decimate=st.booleans(), selection=st.just(("S0",))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 40), st.integers(1, 40), _small_configs)
+@example(8, 8, ScatterConfig(variant="classic", level_bases=("bior2.6", "bior1.3", "bior2.2"),
+                             selection=("S0",)))  # 13 taps on the 4x4 U1
+@example(40, 40, ScatterConfig(depth=1, level_bases=("bior2.6",), selection=("S0",)))  # fits
+def test_plane_dims_rejects_exactly_what_scatter_rejects(h, w, config):
+    want = _outcome(lambda: scatter(np.ones((h, w)), config))
+    assert _outcome(lambda: plane_dims(w, h, config)) == want
+    assert want is None or want.startswith("kernel side")
+
+
 def test_selection_names_declared_order():
     assert selection_names(3) == ("S0", "U1", "U2", "U3", "S1", "S2", "S3")
 
