@@ -19,8 +19,8 @@ import numpy as np
 
 from . import synth
 from .errors import DataError, UndefinedMetricError
-from .formats import (apply_first_layer, load_model, read_features, read_manifest, save_model,
-                      write_features)
+from .formats import (_read_model_header, apply_first_layer, load_model, read_features,
+                      read_manifest, save_model, write_features)
 from .metrics import (ConfusionMatrix, acc, binary_tally, confusion_from_predictions,
                       multiclass_accuracy, ppv, tpr)
 from .mlp import (HIDDEN, TrainConfig, init_model, mlp_forward, predict, softmax,
@@ -270,9 +270,12 @@ class EvalReport:
     per_class: tuple
 
 
-def _check_model_fits(config: PipelineConfig, model_path, dims):
-    """A model's dims must fit the config's feature length and classes."""
+def _check_model_fits(config: PipelineConfig, model_path, dims=None):
+    """A model's dims (read from its header if not given) must fit the config."""
     expect = feature_length(config.width, config.height, config.scatter)
+    if dims is None:
+        with open(model_path, "rb") as fh:
+            dims = _read_model_header(fh, model_path)[0]
     if dims[0] != expect:
         raise DataError(f"{model_path}: model expects {dims[0]} inputs, config implies {expect}")
     if dims[-1] != len(config.classes):
@@ -295,6 +298,7 @@ class InferResult:
 
 
 def run_infer(config: PipelineConfig, model_path, image_path) -> InferResult:
+    _check_model_fits(config, model_path)  # before the image is decoded
     x = extract_features(_load_plane(config, image_path), config.scatter)[None, :]
     h, tail = apply_first_layer(model_path, x, partial(_check_model_fits, config, model_path))
     scores = h[0] if tail is None else mlp_forward(tail, h[0])
@@ -319,9 +323,10 @@ class BenchReport:
 def run_bench(config: PipelineConfig, model_path, image_path, frames: int) -> BenchReport:
     if frames < 1:
         raise DataError(f"frames must be >= 1, got {frames}")
+    feature_length(config.width, config.height, config.scatter)  # the kernels fit
     plane = _load_plane(config, image_path)
+    _check_model_fits(config, model_path)  # before the whole head is loaded
     model = load_model(model_path)
-    _check_model_fits(config, model_path, model.dims)
 
     def one_frame():
         t0 = time.perf_counter()

@@ -16,11 +16,11 @@ config.decimate per axis (output length ceil(n/decimate), first output
 sample aligned at input index 0); the smoothing convolution that produces
 S maps decimates once more unless smooth_decimate is off.
 
-Each convolution is a row pass and then a column pass.  The row pass of a
-kernel with at least GEMM_MIN_TAPS taps (bior2.6's 13-tap low-pass) runs
-as fixed-shape BLAS GEMMs; every other pass is a loop of one numpy
-multiply and add per tap.  Both are deterministic and shift-equivariant
-bit for bit, under any number of BLAS threads, but their roundings differ.
+Each convolution is a row pass and then a column pass.  Both passes of a
+kernel with at least GEMM_MIN_TAPS taps (bior2.6's 13-tap low-pass) run as
+fixed-shape BLAS GEMMs; every other pass is a loop of one numpy multiply
+and add per tap.  Both are deterministic and shift-equivariant bit for bit,
+under any number of BLAS threads, but their roundings differ.
 _pass_plan lays each pass out once per kernel, plane shape, boundary,
 stride and axis, and picks its engine.
 """
@@ -57,7 +57,9 @@ def validate_plane(plane) -> np.ndarray:
     a = np.asarray(plane, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DataError(f"image plane must be 2D and non-empty, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # squares sum to a finite value only if every value is finite; where they
+    # overflow (np.vdot, unlike np.dot, does not warn), each value is checked
+    if not np.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
         raise DataError("image plane contains non-finite values")
     return a
 
@@ -158,12 +160,13 @@ def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
 # tap products stay in cache instead of streaming plane-sized temporaries.
 # A GEMM row pass takes as many rows per GEMM as fit this many inputs.
 _BLOCK = 1 << 15
-# Row passes of kernels with at least this many taps run as GEMMs; on
-# shorter kernels the GEMM loses on small planes (README's tap sweep).
+# Passes of kernels with at least this many taps run as GEMMs; on shorter
+# kernels the GEMM loses on small planes (README's tap sweep).
 GEMM_MIN_TAPS = 8
-# Outputs per GEMM row (a tile), and the multiple that each GEMM's row
-# count is padded to.  Every GEMM of a pass then has one shape, so OpenBLAS
-# runs one kernel path for every output and shifts stay bitwise.
+# Outputs per tile, and the multiple that a row GEMM's row count and a
+# column GEMM's width are padded to.  Every GEMM of a pass then has one
+# shape, so OpenBLAS runs one kernel path for every output and shifts stay
+# bitwise.
 _TILE = 8
 _TILE_ROWS = 64
 
@@ -178,15 +181,17 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
     `in_shape`, laid out once: returns a function that maps such a plane to
     a freshly allocated output and never writes the plane.
 
-    A row pass (axis 1) of a kernel with at least GEMM_MIN_TAPS taps runs as
-    GEMMs over groups of about `block` inputs; every other pass is a tap
-    loop over blocks of about `block` outputs, reading the plane in place
-    when this axis needs no boundary extension.  The tap loop sums each
-    output's taps in the fixed order 0..k-1, so its bits do not depend on
-    the block size.  The GEMM rounds through fused multiply-adds, so its
-    outputs differ from the tap loop's in the last bits (about 4e-16
-    relative); it computes every output the same way, whatever the block
-    size, the output's position or the number of BLAS threads."""
+    A kernel with at least GEMM_MIN_TAPS taps runs as tile GEMMs: a row pass
+    (axis 1) as one GEMM per group of rows holding about `block` inputs, a
+    column pass (axis 0) as one GEMM per tile over the whole width.  Every
+    other pass is a tap loop over blocks of about `block` outputs, reading
+    the plane in place when this axis needs no boundary extension.  The tap
+    loop sums each output's taps in the fixed order 0..k-1, so its bits do
+    not depend on the block size.  The GEMM rounds through fused
+    multiply-adds, so its outputs differ from the tap loop's in the last
+    bits (about 4e-16 relative); it computes every output the same way,
+    whatever the block size, the output's position or the number of BLAS
+    threads."""
     coeffs, o = kernel.coefficients, kernel.origin
     k, n = len(coeffs), in_shape[axis]
     m, pad_lo, pad_hi = _pads(n, k, o, s)
@@ -198,22 +203,40 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
         lo = np.arange(-pad_lo, 0) % n
         hi = np.arange(n, n + pad_hi) % n
 
-    if axis == 1 and k >= GEMM_MIN_TAPS:
-        # Each tile of _TILE outputs reads its window of `span` extended
-        # inputs as one GEMM row.  Column b of the band holds the taps at
-        # rows b*s .. b*s+k-1, so a window times the band is the tile.
+    if k >= GEMM_MIN_TAPS:
+        # Each tile of _TILE outputs reads a window of `span` extended
+        # inputs.  Column b of the band holds the taps at rows b*s .. b*s+k-1,
+        # so a window times the band is the tile.
         rows, span, tiles = in_shape[0], (_TILE - 1) * s + k, -(-m // _TILE)
         band = np.zeros((span, _TILE))
         for b in range(_TILE):
             band[b * s:b * s + k, b] = coeffs
-        # the extended row (extension in front and behind) reaches the last
+        # the extended axis (extension in front and behind) reaches the last
         # tile's last input, with zeros past the extension
-        width = max((tiles - 1) * _TILE * s + span, o + n + pad_hi)
+        reach = max((tiles - 1) * _TILE * s + span, o + n + pad_hi)
+        if axis == 0:
+            # One GEMM per tile: the band's transpose times the tile's window,
+            # a span x width block of the extended plane read in place, with
+            # zero columns up to a multiple of _TILE_ROWS.
+            cols = in_shape[1]
+            width = -(-cols // _TILE_ROWS) * _TILE_ROWS
+
+            def gemm_column_pass(x: np.ndarray) -> np.ndarray:
+                ext = np.zeros((reach, width))
+                ext[:o, :cols] = x[lo]
+                ext[o:o + n, :cols] = x
+                ext[o + n:o + n + pad_hi, :cols] = x[hi]
+                windows = sliding_window_view(ext, span, axis=0)[:tiles * _TILE * s:_TILE * s]
+                out = np.matmul(band.T, windows.transpose(0, 2, 1))
+                return np.ascontiguousarray(out.reshape(tiles * _TILE, width)[:m, :cols])
+            return gemm_column_pass
+
+        # A tile's window is one GEMM row, and a group of rows is one GEMM.
         group = min(rows, max(1, block // (tiles * span)))
         gemm_rows = -(-group * tiles // _TILE_ROWS) * _TILE_ROWS
 
-        def gemm_pass(x: np.ndarray) -> np.ndarray:
-            ext = np.zeros((group, width))
+        def gemm_row_pass(x: np.ndarray) -> np.ndarray:
+            ext = np.zeros((group, reach))
             a = np.zeros((gemm_rows, span))
             c = np.empty((gemm_rows, _TILE))
             windows = sliding_window_view(ext, span, axis=1)[:, :tiles * _TILE * s:_TILE * s]
@@ -231,7 +254,7 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
                 np.matmul(a, band, out=c)
                 out[r0:r0 + g] = c[:g * tiles].reshape(g, tiles * _TILE)[:, :m]
             return out
-        return gemm_pass
+        return gemm_row_pass
 
     rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
     step = max(1, block // cols)

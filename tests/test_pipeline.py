@@ -568,6 +568,31 @@ def test_bench_guards(dataset, trained, tmp_path):
         run_bench(hd, path, records[0].path, frames=1)
 
 
+@pytest.mark.parametrize("run", ["infer", "bench"])
+@pytest.mark.parametrize("misfit", ["kernels", "model"])
+def test_fit_is_checked_before_the_head_or_the_image_is_read(
+        dataset, trained, tmp_path, monkeypatch, run, misfit):
+    loads, decodes = [], []
+    real_load, real_decode = pipeline.load_model, pipeline._load_plane
+    monkeypatch.setattr(pipeline, "load_model", lambda *a: loads.append(a) or real_load(*a))
+    monkeypatch.setattr(pipeline, "_load_plane", lambda *a: decodes.append(a) or real_decode(*a))
+    path, cfg = trained[0], CFG64
+    if misfit == "kernels":
+        cfg = replace(CFG64, scatter=replace(CFG64.scatter, decimate=999))
+        match = r"kernel side 3 does not fit plane of shape \(1, 1\)"
+    else:
+        path = tmp_path / "short.bin"
+        save_model(init_model((100, *HIDDEN, 5)), path)
+        match = "model expects 100 inputs, config implies 1344"
+    image = read_manifest(dataset)[0].path
+    with pytest.raises(DataError, match=match):
+        run_infer(cfg, path, image) if run == "infer" else run_bench(cfg, path, image, frames=1)
+    assert loads == []
+    # bench reports an image of the wrong dims ahead of a model that does not
+    # fit (test_bench_guards), so it decodes its image before the model header
+    assert len(decodes) == (run == "bench" and misfit == "model")
+
+
 # ---------------------------------------------------------------------------
 # end-to-end determinism
 

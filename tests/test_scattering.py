@@ -114,6 +114,33 @@ def test_conv_rejects_bad_arguments():
         conv2_decimated(np.full((8, 8), np.nan), kern, "symmetric", 2)
 
 
+def test_validate_plane_passes_values_whose_squares_overflow():
+    x = np.full((8, 9), 1e200)
+    x[3, 4] = -1e200
+    assert scattering.validate_plane(x).tobytes() == x.tobytes()
+    x[7, 8] = np.nan  # the elementwise check behind the overflow still sees it
+    with pytest.raises(DataError, match="non-finite"):
+        scattering.validate_plane(x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 36, 71])  # first, middle and last of 8x9
+def test_validate_plane_rejects_a_non_finite_value_anywhere(value, index):
+    x = np.random.default_rng(index).standard_normal((8, 9))
+    x.flat[index] = value
+    with pytest.raises(DataError, match="image plane contains non-finite values"):
+        scattering.validate_plane(x)
+
+
+def test_validate_plane_checks_exactly_the_values_of_a_strided_view():
+    x = np.ones((8, 18))
+    x[5, 1] = np.inf
+    scattering.validate_plane(x[:, ::2])  # the inf is outside the view
+    for view in (x[:, 1::2], x.T, x[::-1, 1:4]):
+        with pytest.raises(DataError, match="non-finite"):
+            scattering.validate_plane(view)
+
+
 def test_conv_separable_equals_full_2d_sum():
     # rows-then-columns factorization against the plain quadruple loop
     rng = np.random.default_rng(3)
@@ -194,18 +221,23 @@ def _unblocked_pass(x, f, origin, boundary, s, axis):
 @settings(deadline=None)
 @given(_conv_cases())
 @example(("bior2.6", WAVELET_DIAGONAL, "symmetric", 1, 40, 40, 1, 3))  # one row per block
+@example(("bior2.6", SCALE, "symmetric", 2, 40, 40, 1, 3))  # both passes are GEMMs
 def test_planned_pass_is_bitwise_the_unblocked_pass(case):
+    """The tap loop is bitwise the plainest pass, whatever the block size.  A
+    kernel of GEMM_MIN_TAPS or more taps runs both passes as GEMMs, which
+    round otherwise (test_gemm_passes_are_shift_equivariant), so it is held
+    to brute force instead."""
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
     with mock.patch.object(scattering, "_BLOCK", block):
         got = conv2_decimated(x, kern, boundary, s)
-        if len(kern.factor) >= scattering.GEMM_MIN_TAPS:
-            # a GEMM row pass rounds otherwise (test_gemm_row_pass_is_shift_equivariant);
-            # the column pass after it is still the tap loop
-            rows = scattering._pass_plan(kern, x.shape, boundary, s, 1, block)(x)
-        else:
-            rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
+    if len(kern.factor) >= scattering.GEMM_MIN_TAPS:
+        want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
+        assert got.shape == want.shape
+        assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
+        return
+    rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
     want = _unblocked_pass(rows, kern.factor, kern.origin, boundary, s, axis=0)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -231,13 +263,23 @@ def _gemm_shift_cases(draw):
     return kern, s, rng.standard_normal((h, w)), shift, draw(st.integers(1, 4096))
 
 
+def _wide_shift_case(h, w, shift, seed):
+    """bior2.6's low-pass at stride 2 on an h x w plane: the column pass's
+    GEMMs are w/2 columns wide before padding."""
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    return _kern("bior2.6", SCALE), 2, x, shift, 1 << 15
+
+
 @settings(deadline=None, max_examples=150)
 @given(_gemm_shift_cases())
-def test_gemm_row_pass_is_shift_equivariant(case):
+@example(_wide_shift_case(20, 34, (6, 10), 0))  # 17 columns, padded to 64
+@example(_wide_shift_case(26, 130, (2, 64), 1))  # 65 columns, padded to 128
+def test_gemm_passes_are_shift_equivariant(case):
     """Under the periodic boundary, shifting the input by (a*s, b*s) rolls
-    the output by (a, b) bit for bit: every output of the GEMM row pass is
-    computed the same way wherever it sits in its tile and its GEMM, and
-    whatever the GEMM's row count that the block size sets."""
+    the output by (a, b) bit for bit: every output of the GEMM row pass and
+    the GEMM column pass is computed the same way wherever it sits in its
+    tile and its GEMM, and whatever the GEMM's row count that the block
+    size sets."""
     kern, s, x, (dy, dx), block = case
     with mock.patch.object(scattering, "_BLOCK", block):
         base = conv2_decimated(x, kern, "periodic", s)
@@ -247,12 +289,12 @@ def test_gemm_row_pass_is_shift_equivariant(case):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_gemm_shift_test_holds_under_one_and_two_blas_threads(tmp_path, threads):
+def test_gemm_pass_shift_test_holds_under_one_and_two_blas_threads(tmp_path, threads):
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join(p for p in (here, os.path.dirname(os.path.dirname(scattering.__file__)),
                                        os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
-    code = "import test_scattering as t; t.test_gemm_row_pass_is_shift_equivariant()"
+    code = "import test_scattering as t; t.test_gemm_passes_are_shift_equivariant()"
     subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True, timeout=300)
 
 
