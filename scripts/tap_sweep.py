@@ -4,14 +4,13 @@ For each axis, kernel length and plane, times one decimating pass, built by
 scattering._pass_plan, as the tap loop and as the GEMM, in alternating
 rounds.  A row pass reads the WxH plane; a column pass reads what the row
 pass makes of it, H rows of ceil(W/stride) columns.  Each path is forced
-at every length by setting scattering.GEMM_MIN_TAPS above or below it and
-dropping the cached plans, so the table shows where the threshold should
-sit.  The kernels are the
-filter bank's: bior1.1's low-pass (2 taps), bior2.2's high-pass (3),
-bior2.2's low-pass (5), bior1.3's low-pass (6) and bior2.6's low-pass
-(13), all with the symmetric boundary.  Prints each path's median time
-and how many rounds the GEMM won.  BLAS runs on one thread, as in the
-benchmark:
+through the engine rule (scattering._runs_as_gemm) by setting its
+constants, GEMM_MIN_TAPS and GEMM_MIN_PIXELS, to extremes and dropping the
+cached plans, so the table shows where the rule's thresholds should sit.  The kernels are the filter bank's:
+bior1.1's low-pass (2 taps), bior2.2's high-pass (3), bior2.2's low-pass
+(5), bior1.3's low-pass (6) and bior2.6's low-pass (13), all with the
+symmetric boundary.  Prints each path's median time and how many rounds
+the GEMM won.  BLAS runs on one thread, as in the benchmark:
 
     PYTHONPATH=src python scripts/tap_sweep.py [--axes row column]
 """
@@ -32,13 +31,16 @@ from wavescat.filters import SCALE, WAVELET_DIAGONAL, make_filter_pair, make_ker
 
 KERNELS = {2: ("bior1.1", SCALE), 3: ("bior2.2", WAVELET_DIAGONAL), 5: ("bior2.2", SCALE),
            6: ("bior1.3", SCALE), 13: ("bior2.6", SCALE)}
-SIZES = ("64x64", "640x360", "1280x720")
+SIZES = ("64x64", "320x180", "640x360", "1280x720")
 AXES = {"row": 1, "column": 0}  # the pass's axis argument
 
 
-def seconds(x, kernel, stride, axis, min_taps, repeats):
-    scattering.GEMM_MIN_TAPS = min_taps
+def seconds(x, kernel, stride, axis, gemm, repeats):
+    k = len(kernel.factor)
+    # at these extremes the rule sends every pass of this kernel one way
+    scattering.GEMM_MIN_TAPS, scattering.GEMM_MIN_PIXELS = (1, 0) if gemm else (k + 1, x.size + 1)
     scattering._pass_plan.cache_clear()  # a cached plan keeps the engine it was built with
+    assert scattering._runs_as_gemm(k, x.shape) == gemm
     one_pass = scattering._pass_plan(kernel, x.shape, "symmetric", stride, axis, scattering._BLOCK)
     t0 = time.perf_counter()
     for _ in range(repeats):
@@ -67,15 +69,13 @@ def main():
         w, h = map(int, size.split("x"))
         x = np.random.default_rng(k).random((h, w if axis else -(-w // args.stride)))
         repeats = max(1, round(args.mpx * 1e6 / x.size))
-        loop = k + 1   # every kernel takes the tap loop
-        gemm = 1       # every kernel takes the GEMM
-        seconds(x, kernel, args.stride, axis, loop, 1)  # warm up both paths
-        seconds(x, kernel, args.stride, axis, gemm, 1)
+        seconds(x, kernel, args.stride, axis, False, 1)  # warm up both paths
+        seconds(x, kernel, args.stride, axis, True, 1)
         loops, gemms = [], []
         for r in range(args.rounds):
-            order = ((loops, loop), (gemms, gemm))
-            for times, min_taps in order if r % 2 else order[::-1]:
-                times.append(seconds(x, kernel, args.stride, axis, min_taps, repeats))
+            order = ((loops, False), (gemms, True))
+            for times, gemm in order if r % 2 else order[::-1]:
+                times.append(seconds(x, kernel, args.stride, axis, gemm, repeats))
         wins = sum(g < t for g, t in zip(gemms, loops))
         a, b = statistics.median(loops) * 1e3, statistics.median(gemms) * 1e3
         print(f"| {name} | {k} | {size} | {a:.3f} | {b:.3f} | {b / a:.2f} | {wins}/{args.rounds} |")

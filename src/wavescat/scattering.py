@@ -16,9 +16,10 @@ config.decimate per axis (output length ceil(n/decimate), first output
 sample aligned at input index 0); the smoothing convolution that produces
 S maps decimates once more unless smooth_decimate is off.
 
-Each convolution is a row pass and then a column pass.  Both passes of a
-kernel with at least GEMM_MIN_TAPS taps (bior2.6's 13-tap low-pass) run as
-fixed-shape BLAS GEMMs; every other pass is a loop of one numpy multiply
+Each convolution is a row pass and then a column pass.  A pass runs as
+fixed-shape BLAS GEMMs when its kernel has at least GEMM_MIN_TAPS taps
+(bior2.6's 13-tap low-pass), or 3 or more taps over a plane of at least
+GEMM_MIN_PIXELS samples; every other pass is a loop of one numpy multiply
 and add per tap.  Both are deterministic and shift-equivariant bit for bit,
 under any number of BLAS threads, but their roundings differ.
 _pass_plan lays each pass out once per kernel, plane shape, boundary,
@@ -156,24 +157,35 @@ def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
                 f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
 
 
-# Output samples per block of a 1D pass (256 KiB of float64): the block's
-# tap products stay in cache instead of streaming plane-sized temporaries.
-# A GEMM row pass takes as many rows per GEMM as fit this many inputs.
+# Output samples per block of a tap-loop pass (256 KiB of float64): the
+# block's tap products stay in cache instead of streaming plane-sized
+# temporaries.
 _BLOCK = 1 << 15
-# Passes of kernels with at least this many taps run as GEMMs; on shorter
-# kernels the GEMM loses on small planes (README's tap sweep).
+# The engine rule, from README's tap sweep: see _runs_as_gemm.  A plan keeps
+# the engine it was built with, so patching either constant takes effect on
+# plans built after _pass_plan's cache is cleared.
 GEMM_MIN_TAPS = 8
-# Outputs per tile, and the multiple that a row GEMM's row count and a
-# column GEMM's width are padded to.  Every GEMM of a pass then has one
-# shape, so OpenBLAS runs one kernel path for every output and shifts stay
-# bitwise.
+GEMM_MIN_PIXELS = 1 << 16
+# Outputs per tile, and the rows of every row-pass GEMM.  Every GEMM of a
+# pass then has one shape, so OpenBLAS runs one kernel path for every output
+# and shifts stay bitwise.
 _TILE = 8
 _TILE_ROWS = 64
 
 
+def _runs_as_gemm(taps: int, in_shape: tuple[int, int]) -> bool:
+    """Whether a pass of `taps` taps over planes of `in_shape` runs as tile
+    GEMMs: with at least GEMM_MIN_TAPS taps, or with 3 or more on a plane
+    of at least GEMM_MIN_PIXELS samples.  Every other pass, and every pass
+    over one column, where a column GEMM would be a matrix-vector product
+    that sums in another order, is a tap loop."""
+    rows, cols = in_shape
+    return cols > 1 and (taps >= GEMM_MIN_TAPS or (taps >= 3 and rows * cols >= GEMM_MIN_PIXELS))
+
+
 # The default cascade makes 16 passes per plane shape, so 256 plans cover
 # many configs and sizes.  A plan holds index arrays no longer than the
-# kernel and, for the tap loop, one slice per tap per block.
+# extended axis and, for the tap loop, one slice per tap per block.
 @lru_cache(maxsize=256)
 def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
                axis: int, block: int):
@@ -181,17 +193,16 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
     `in_shape`, laid out once: returns a function that maps such a plane to
     a freshly allocated output and never writes the plane.
 
-    A kernel with at least GEMM_MIN_TAPS taps runs as tile GEMMs: a row pass
-    (axis 1) as one GEMM per group of rows holding about `block` inputs, a
-    column pass (axis 0) as one GEMM per tile over the whole width.  Every
-    other pass is a tap loop over blocks of about `block` outputs, reading
-    the plane in place when this axis needs no boundary extension.  The tap
-    loop sums each output's taps in the fixed order 0..k-1, so its bits do
-    not depend on the block size.  The GEMM rounds through fused
-    multiply-adds, so its outputs differ from the tap loop's in the last
-    bits (about 4e-16 relative); it computes every output the same way,
-    whatever the block size, the output's position or the number of BLAS
-    threads."""
+    Where _runs_as_gemm says so, the pass runs as tile GEMMs: a row pass
+    (axis 1) as one GEMM per tile per _TILE_ROWS rows, a column pass (axis 0)
+    as one GEMM per tile over the whole width.  Every other pass is a tap
+    loop over blocks of about `block` outputs, reading the plane in place
+    when this axis needs no boundary extension.  The tap loop sums each
+    output's taps in the fixed order 0..k-1, so its bits do not depend on
+    the block size.  The GEMM rounds through fused multiply-adds, so its
+    outputs differ from the tap loop's in the last bits (about 4e-16
+    relative); it computes every output the same way, whatever the
+    output's position or the number of BLAS threads."""
     coeffs, o = kernel.coefficients, kernel.origin
     k, n = len(coeffs), in_shape[axis]
     m, pad_lo, pad_hi = _pads(n, k, o, s)
@@ -203,56 +214,63 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
         lo = np.arange(-pad_lo, 0) % n
         hi = np.arange(n, n + pad_hi) % n
 
-    if k >= GEMM_MIN_TAPS:
+    if _runs_as_gemm(k, in_shape):
         # Each tile of _TILE outputs reads a window of `span` extended
         # inputs.  Column b of the band holds the taps at rows b*s .. b*s+k-1,
         # so a window times the band is the tile.
-        rows, span, tiles = in_shape[0], (_TILE - 1) * s + k, -(-m // _TILE)
+        rows, cols = in_shape
+        span, tiles, hop = (_TILE - 1) * s + k, -(-m // _TILE), _TILE * s
         band = np.zeros((span, _TILE))
         for b in range(_TILE):
             band[b * s:b * s + k, b] = coeffs
-        # the extended axis (extension in front and behind) reaches the last
-        # tile's last input, with zeros past the extension
-        reach = max((tiles - 1) * _TILE * s + span, o + n + pad_hi)
         if axis == 0:
-            # One GEMM per tile: the band's transpose times the tile's window,
-            # a span x width block of the extended plane read in place, with
-            # zero columns up to a multiple of _TILE_ROWS.
-            cols = in_shape[1]
-            width = -(-cols // _TILE_ROWS) * _TILE_ROWS
+            # Tile j's window starts at input row j*hop - o.  Tiles j0..j1-1
+            # read their windows from the plane in place, through one stacked
+            # GEMM of the band's transpose that writes the output in place.
+            # Each edge tile's window is gathered, through the extension,
+            # into a zeroed span x cols strip; every GEMM has one shape.
+            j0 = min(tiles, -(-o // hop))
+            j1 = max(j0, min(tiles, (n + o - span) // hop + 1))
+            extended = np.concatenate((lo, np.arange(n), hi))  # input row of each extended row
+            edges = [j for j in range(tiles) if not j0 <= j < j1]
 
             def gemm_column_pass(x: np.ndarray) -> np.ndarray:
-                ext = np.zeros((reach, width))
-                ext[:o, :cols] = x[lo]
-                ext[o:o + n, :cols] = x
-                ext[o + n:o + n + pad_hi, :cols] = x[hi]
-                windows = sliding_window_view(ext, span, axis=0)[:tiles * _TILE * s:_TILE * s]
-                out = np.matmul(band.T, windows.transpose(0, 2, 1))
-                return np.ascontiguousarray(out.reshape(tiles * _TILE, width)[:m, :cols])
+                out = np.empty((m, cols))
+                if j1 > j0:
+                    windows = sliding_window_view(x, span, axis=0)[j0 * hop - o::hop][:j1 - j0]
+                    np.matmul(band.T, windows.transpose(0, 2, 1),
+                              out=out[j0 * _TILE:j1 * _TILE].reshape(j1 - j0, _TILE, cols))
+                strips = np.zeros((len(edges), span, cols))
+                for strip, j in zip(strips, edges):
+                    idx = extended[j * hop:j * hop + span]  # zeros past the extension
+                    strip[:len(idx)] = x[idx]
+                for j, tile in zip(edges, np.matmul(band.T, strips)):
+                    out[j * _TILE:(j + 1) * _TILE] = tile[:m - j * _TILE]
+                return out
             return gemm_column_pass
 
-        # A tile's window is one GEMM row, and a group of rows is one GEMM.
-        group = min(rows, max(1, block // (tiles * span)))
-        gemm_rows = -(-group * tiles // _TILE_ROWS) * _TILE_ROWS
+        # _TILE_ROWS rows at a time are extended into one zeroed buffer, with
+        # zeros past the extension up to the last tile's last input.  Tile t
+        # of every row is one (_TILE_ROWS x span) window of that buffer, read
+        # in place by one stacked GEMM.
+        reach = max((tiles - 1) * hop + span, o + n + pad_hi)
 
         def gemm_row_pass(x: np.ndarray) -> np.ndarray:
-            ext = np.zeros((group, reach))
-            a = np.zeros((gemm_rows, span))
-            c = np.empty((gemm_rows, _TILE))
-            windows = sliding_window_view(ext, span, axis=1)[:, :tiles * _TILE * s:_TILE * s]
-            gathered = a[:group * tiles].reshape(group, tiles, span)
+            ext = np.zeros((_TILE_ROWS, reach))
+            windows = sliding_window_view(ext, span, axis=1)[:, :tiles * hop:hop].transpose(1, 0, 2)
+            c = np.empty((_TILE_ROWS, tiles * _TILE))
+            tiled = c.reshape(_TILE_ROWS, tiles, _TILE).transpose(1, 0, 2)
             out = np.empty((rows, m))
-            for r0 in range(0, rows, group):
-                src = x[r0:r0 + group]
+            for r0 in range(0, rows, _TILE_ROWS):
+                src = x[r0:r0 + _TILE_ROWS]
                 g = len(src)
                 ext[:g, :o] = src[:, lo]
                 ext[:g, o:o + n] = src
                 ext[:g, o + n:o + n + pad_hi] = src[:, hi]
                 # a last, shorter group leaves the previous group's finite
-                # rows behind it in `a`; their outputs are dropped
-                gathered[:g] = windows[:g]
-                np.matmul(a, band, out=c)
-                out[r0:r0 + g] = c[:g * tiles].reshape(g, tiles * _TILE)[:, :m]
+                # rows behind it in `ext`; their outputs are dropped
+                np.matmul(windows, band, out=tiled)
+                out[r0:r0 + g] = c[:g, :m]
             return out
         return gemm_row_pass
 

@@ -1,9 +1,11 @@
 """Decimating convolution and both scattering cascades against brute oracles."""
 
+import contextlib
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -186,18 +188,36 @@ def _conv_cases(draw):
     return name, kind, boundary, s, draw(fits), draw(fits), block, draw(st.integers(0, 2**32 - 1))
 
 
+@contextlib.contextmanager
+def _gemm_on_small_planes():
+    """Patch the engine rule's plane-size threshold to 0, so that every pass
+    of 3 or more taps runs as a GEMM; plans built under the patch are
+    dropped when it ends."""
+    scattering._pass_plan.cache_clear()
+    try:
+        with mock.patch.object(scattering, "GEMM_MIN_PIXELS", 0):
+            yield
+    finally:
+        scattering._pass_plan.cache_clear()
+
+
 @settings(deadline=None)
-@given(_conv_cases())
-@example(("bior1.1", SCALE, "symmetric", 2, 16, 24, 64, 0))  # no padding on either axis
-@example(("bior1.3", WAVELET_DIAGONAL, "periodic", 4, 12, 36, 5, 1))  # no padding on either axis
-@example(("bior2.6", SCALE, "periodic", 3, 20, 7, 3, 2))  # padded on both axes
-@example(("bior1.1", WAVELET_DIAGONAL, "symmetric", 1, 1, 1, 1, 4))  # 1 px: cancels to 0
-@example(("bior1.3", WAVELET_DIAGONAL, "symmetric", 2, 1, 3, 2, 5))
-def test_conv_matches_brute_property(case):
+@given(_conv_cases(), st.booleans())
+@example(("bior1.1", SCALE, "symmetric", 2, 16, 24, 64, 0), False)  # no padding on either axis
+@example(("bior1.3", WAVELET_DIAGONAL, "periodic", 4, 12, 36, 5, 1), False)  # no padding either
+@example(("bior2.6", SCALE, "periodic", 3, 20, 7, 3, 2), False)  # padded on both axes
+@example(("bior1.1", WAVELET_DIAGONAL, "symmetric", 1, 1, 1, 1, 4), False)  # 1 px: cancels to 0
+@example(("bior1.3", WAVELET_DIAGONAL, "symmetric", 2, 1, 3, 2, 5), False)
+@example(("bior2.2", WAVELET_DIAGONAL, "symmetric", 1, 2, 3, 1, 0), True)  # only edge tiles
+@example(("bior1.3", SCALE, "periodic", 2, 40, 37, 1, 1), True)  # interior and edge column tiles
+def test_conv_matches_brute_property(case, gemm_on_small_planes):
+    """Within criterion 4's bound of brute force; with gemm_on_small_planes,
+    every pass of 3 or more taps runs as a GEMM however small its plane."""
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
-    with mock.patch.object(scattering, "_BLOCK", block):
+    engine = _gemm_on_small_planes() if gemm_on_small_planes else contextlib.nullcontext()
+    with mock.patch.object(scattering, "_BLOCK", block), engine:
         got = conv2_decimated(x, kern, boundary, s)
     want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
     assert got.shape == want.shape
@@ -224,15 +244,16 @@ def _unblocked_pass(x, f, origin, boundary, s, axis):
 @example(("bior2.6", SCALE, "symmetric", 2, 40, 40, 1, 3))  # both passes are GEMMs
 def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     """The tap loop is bitwise the plainest pass, whatever the block size.  A
-    kernel of GEMM_MIN_TAPS or more taps runs both passes as GEMMs, which
-    round otherwise (test_gemm_passes_are_shift_equivariant), so it is held
-    to brute force instead."""
+    pass that the engine rule sends to a GEMM rounds otherwise
+    (test_gemm_passes_are_shift_equivariant), so a convolution with a GEMM
+    pass is held to brute force instead."""
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
     with mock.patch.object(scattering, "_BLOCK", block):
         got = conv2_decimated(x, kern, boundary, s)
-    if len(kern.factor) >= scattering.GEMM_MIN_TAPS:
+    k = len(kern.factor)
+    if scattering._runs_as_gemm(k, x.shape) or scattering._runs_as_gemm(k, (h, -(-w // s))):
         want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
         assert got.shape == want.shape
         assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
@@ -243,49 +264,64 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     assert got.tobytes() == want.tobytes()
 
 
+# every kernel of 3 or more taps in the filter bank: 3, 5, 6 and 13 taps
+_GEMM_KERNELS = (("bior2.2", WAVELET_DIAGONAL), ("bior2.2", SCALE), ("bior1.3", SCALE),
+                 ("bior2.6", SCALE))
+
+
 @st.composite
 def _gemm_shift_cases(draw):
     """A periodic plane whose sides are multiples of the stride, a kernel of
-    GEMM_MIN_TAPS or more taps (bior2.6's low-pass or random taps), a shift
-    by a multiple of the stride on each axis, and a block size."""
+    3 or more taps (one of the filter bank's or random taps), and a shift
+    by a multiple of the stride on each axis."""
     s = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
-        kern = _kern("bior2.6", SCALE)
+        kern = _kern(*draw(st.sampled_from(_GEMM_KERNELS)))
     else:
-        k = draw(st.integers(scattering.GEMM_MIN_TAPS, 16))
+        k = draw(st.integers(3, 16))
         kern = Kernel2D(factor=rng.standard_normal(k), kind=SCALE, origin=draw(st.integers(0, k - 1)))
     side = st.integers(1, 48 // s).map(lambda q: q * s).filter(
         lambda n: max(_reach(n, kern, s)) <= n)
-    h, w = draw(side), draw(side)
+    h, w = draw(side), draw(side.filter(lambda n: n > s))  # 2 or more columns per pass
     shift = (s * draw(st.integers(0, h // s - 1)), s * draw(st.integers(0, w // s - 1)))
-    return kern, s, rng.standard_normal((h, w)), shift, draw(st.integers(1, 4096))
+    return kern, s, rng.standard_normal((h, w)), shift
 
 
-def _wide_shift_case(h, w, shift, seed):
-    """bior2.6's low-pass at stride 2 on an h x w plane: the column pass's
-    GEMMs are w/2 columns wide before padding."""
+def _shift_case(name, kind, s, h, w, shift, seed):
     x = np.random.default_rng(seed).standard_normal((h, w))
-    return _kern("bior2.6", SCALE), 2, x, shift, 1 << 15
+    return _kern(name, kind), s, x, shift
 
 
 @settings(deadline=None, max_examples=150)
 @given(_gemm_shift_cases())
-@example(_wide_shift_case(20, 34, (6, 10), 0))  # 17 columns, padded to 64
-@example(_wide_shift_case(26, 130, (2, 64), 1))  # 65 columns, padded to 128
+# bior2.6's column pass at stride 2 on 80 rows: tile 0 and tile 4 are edge
+# tiles, 1-3 interior; a 32-row roll moves outputs two tiles across that
+# border.  80 rows are a full row-pass group of 64 and a short one.
+@example(_shift_case("bior2.6", SCALE, 2, 80, 100, (32, 10), 0))  # 50 columns
+@example(_shift_case("bior2.6", SCALE, 2, 20, 34, (6, 10), 0))  # 17 columns
+@example(_shift_case("bior2.6", SCALE, 2, 26, 130, (2, 64), 1))  # 65 columns
+@example(_shift_case("bior2.2", WAVELET_DIAGONAL, 2, 70, 134, (18, 62), 2))  # 3 taps
+@example(_shift_case("bior2.2", SCALE, 1, 67, 45, (21, 7), 3))  # 5 taps, stride 1
+@example(_shift_case("bior1.3", SCALE, 3, 96, 201, (48, 99), 4))  # 6 taps, 67 columns
 def test_gemm_passes_are_shift_equivariant(case):
     """Under the periodic boundary, shifting the input by (a*s, b*s) rolls
     the output by (a, b) bit for bit: every output of the GEMM row pass and
     the GEMM column pass is computed the same way wherever it sits in its
-    tile and its GEMM, and whatever the GEMM's row count that the block
-    size sets."""
-    kern, s, x, (dy, dx), block = case
-    with mock.patch.object(scattering, "_BLOCK", block):
+    tile, its group of rows or its GEMM, and whether its column-pass tile
+    reads the plane in place or through an edge strip.  The engine rule's
+    plane-size threshold is patched to 0, so every kernel here runs both
+    passes as GEMMs; a plane of one column would take the tap loop."""
+    kern, s, x, (dy, dx) = case
+    (h, w), k = x.shape, len(kern.factor)
+    with _gemm_on_small_planes():
+        assert scattering._runs_as_gemm(k, (h, w)) and scattering._runs_as_gemm(k, (h, w // s))
         base = conv2_decimated(x, kern, "periodic", s)
         moved = conv2_decimated(np.roll(x, (dy, dx), axis=(0, 1)), kern, "periodic", s)
+        again = conv2_decimated(x, kern, "periodic", s)
     assert moved.tobytes() == np.roll(base, (dy // s, dx // s), axis=(0, 1)).tobytes()
-    assert base.tobytes() == conv2_decimated(x, kern, "periodic", s).tobytes()
+    assert base.tobytes() == again.tobytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -296,6 +332,29 @@ def test_gemm_pass_shift_test_holds_under_one_and_two_blas_threads(tmp_path, thr
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
     code = "import test_scattering as t; t.test_gemm_passes_are_shift_equivariant()"
     subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True, timeout=300)
+
+
+@pytest.mark.parametrize("name, kind", [("bior2.6", SCALE), ("bior2.2", WAVELET_DIAGONAL)],
+                         ids=["13-tap", "3-tap"])
+def test_gemm_convolution_allocates_no_plane_sized_buffer(name, kind):
+    """At 720p both passes of the 13-tap low-pass and of the 3-tap high-pass
+    are GEMMs that read their input in place: one conv2_decimated allocates
+    its two pass outputs plus at most 1 MiB of edge strips and row buffers,
+    and no extension or gather buffer the size of a plane (a 720x640 plane
+    is 3.7 MB)."""
+    kern = _kern(name, kind)
+    x = np.random.default_rng(6).standard_normal((720, 1280))
+    conv2_decimated(x, kern, "symmetric", 2)  # builds and caches both plans
+    tracemalloc.start()
+    try:
+        out = conv2_decimated(x, kern, "symmetric", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_out = 720 * 640 * 8  # the row pass's output, the column pass's input
+    assert peak <= rows_out + out.nbytes + (1 << 20)
+    assert scattering._runs_as_gemm(len(kern.factor), x.shape)
+    assert scattering._runs_as_gemm(len(kern.factor), (720, 640))
 
 
 def test_one_plan_per_kernel_shape_and_stride():
