@@ -8,13 +8,14 @@ ids are 1-based positions in filters.BASES; selection bit i corresponds to
 position i of the declared plane order (S0, U1..Um, S1..Sm).  The record
 count is not stored; it is implied by the file size.
 
-Model file (magic IWSNML01): version byte 0x01, the number of dims as u64,
-the dims as u64 each, then per layer the weight matrix (row-major) and the
-bias vector as float64 little-endian; the init seed is not kept.  Inference
-reads layer 0 in float32 and column-major (load_model holds it whole for bench;
-apply_first_layer streams it for eval and infer): numpy hands that W0 to BLAS
+Model file (magic IWSNML01): version byte 0x02, the number of dims as u64,
+the dims as u64 each, then layer 0's weights as float32 little-endian, one
+output unit's weights after another (W0.T row-major), then its bias vector
+and every later layer's weight matrix (row-major) and bias vector as float64
+little-endian; the init seed is not kept.  Layer 0 is stored as inference runs
+it: load_model reads it as a column-major float32 W0, which numpy hands to BLAS
 with a transpose flag and no copy, so x @ W0 runs BLAS's dot-product GEMV
-kernel, faster than the axpy-style one a row-major W0 gets (README: File formats).
+kernel (README: File formats).  save_model rounds a float64 W0 as it writes.
 
 Manifest: one `path<TAB>label` record per line, UTF-8; relative paths are
 resolved against the manifest's directory.
@@ -36,8 +37,8 @@ from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_name
 
 FEATURE_MAGIC = b"IWSNFV01"
 MODEL_MAGIC = b"IWSNML01"
-MODEL_VERSION = 1
-LOAD_BYTES = 512 << 10  # layer 0's read block: its transposing cast is fast while it stays in cache
+MODEL_VERSION = 2
+BLOCK_COLUMNS = 4  # output units per block of apply_first_layer's streamed layer 0
 
 
 def selection_bitmask(depth: int, selection) -> int:
@@ -129,8 +130,13 @@ def save_model(model: MlpModel, path):
         fh.write(bytes([MODEL_VERSION]))
         fh.write(struct.pack("<Q", len(model.dims)))
         fh.write(struct.pack(f"<{len(model.dims)}Q", *model.dims))
-        for w, b in zip(model.weights, model.biases):
-            # the file takes each array's own buffer; no bytes copy
+        # layer 0 one output unit at a time, so the cast's temporary is one column
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, which readers reject
+            for column in model.weights[0].T:
+                fh.write(np.ascontiguousarray(column, dtype="<f4"))
+        # the file takes each other array's own buffer; no bytes copy
+        fh.write(np.ascontiguousarray(model.biases[0], dtype="<f8"))
+        for w, b in zip(model.weights[1:], model.biases[1:]):
             fh.write(np.ascontiguousarray(w, dtype="<f8"))
             fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
@@ -158,7 +164,7 @@ def _read_model_header(fh, path):
     offsets = []
     for j in range(ndims - 1):
         offsets.append(pos)
-        pos += 8 * (dims[j] * dims[j + 1] + dims[j + 1])
+        pos += (4 if j == 0 else 8) * dims[j] * dims[j + 1] + 8 * dims[j + 1]
         if pos > size:
             raise DataError(f"{path}: truncated layer {j} parameters at byte offset {offsets[j]}")
     if pos != size:
@@ -174,21 +180,6 @@ def _fill(fh, path, j, offsets, array):
     return array
 
 
-def _layer0_blocks(fh, path, offsets, n, m):
-    """(rows, float64 block) of layer 0, read through one reusable buffer of about LOAD_BYTES."""
-    buf = np.empty((min(n, max(1, LOAD_BYTES // (8 * m))), m), "<f8")  # one block's rows
-    for r0 in range(0, n, len(buf)):
-        rows = slice(r0, min(r0 + len(buf), n))
-        yield rows, _fill(fh, path, 0, offsets, buf[:rows.stop - r0])
-
-
-def _float32(block, out):
-    """block cast into out: layer 0 is valid only if this cast is finite, for every reader."""
-    with np.errstate(over="ignore"):  # beyond float32's range is inf, not a RuntimeWarning
-        out[...] = block
-    return out
-
-
 def _read_rest(fh, path, dims, offsets):
     """(b0, weights, biases of layers 1..last), each read straight into place."""
     b0, weights, biases = _fill(fh, path, 0, offsets, np.empty(dims[1], "<f8")), [], []
@@ -199,39 +190,34 @@ def _read_rest(fh, path, dims, offsets):
 
 
 def load_model(path) -> MlpModel:
-    """The inference loader: layer 0 is cast to a column-major float32 matrix block by
-    block as it is read (the peak is about half a float64 copy plus one buffer); the rest
-    stays float64."""
+    """The inference loader: layer 0 is read as stored, a column-major float32 matrix;
+    the rest is float64."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
-        w0 = np.empty(dims[1::-1], np.float32).T  # (n, m), column-major
-        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
-            _float32(block, w0[rows])
-        del block  # frees the read buffer before MlpModel's finite check allocates
+        w0 = _fill(fh, path, 0, offsets, np.empty(dims[1::-1], "<f4")).T  # (n, m)
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
     return MlpModel(dims, [w0, *weights], [b0, *biases], seed=None)
 
 
-def apply_first_layer(path, x, check_dims):
+def apply_first_layer(path, x):
     """Layer 0 of a model file on the rows of x as load_model's head computes it, never
-    held whole: after the header checks and check_dims(dims), each W0 block is cast into
-    one reused column-major float32 buffer, finite-checked, multiplied with x in float32,
-    and summed in row order in float64 (one block: bitwise).  Returns (ReLU(z + b0), the
-    other layers as an MlpModel), or (z + b0, None) for one layer; errors are load_model's."""
+    held whole: BLOCK_COLUMNS output units' weights at a time are read into one reused
+    float32 buffer, finite-checked, and multiplied with x in float32 into their columns
+    of z.  Returns (ReLU(z + b0), the other layers as an MlpModel), or (z + b0, None)
+    for one layer; errors are load_model's.  The caller checks that the dims fit."""
     with open(path, "rb") as fh:
         dims, offsets = _read_model_header(fh, path)
-        check_dims(dims)
-        z = None
-        for rows, block in _layer0_blocks(fh, path, offsets, *dims[:2]):
-            if z is None:  # the first block is the longest
-                w0 = np.empty(block.shape[::-1], np.float32).T
-            w = _float32(block, w0[:len(block)])
+        n, m = dims[:2]
+        x32 = x.astype(np.float32, copy=False)
+        buf = np.empty((min(m, BLOCK_COLUMNS), n), "<f4")
+        z = np.empty((len(x), m), np.float32)
+        for j0 in range(0, m, len(buf)):
+            w = _fill(fh, path, 0, offsets, buf[:m - j0])
             check_finite(0, w)
-            part = x[:, rows].astype(np.float32, copy=False) @ w
-            z = part.astype(np.float64) if z is None else np.add(z, part, out=z)
+            np.matmul(x32, w.T, out=z[:, j0:j0 + len(w)])
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
     check_finite(0, b0)  # then MlpModel checks layers 1.. in file order
-    z += b0
+    z = z + b0
     if len(dims) == 2:
         return z, None
     return np.maximum(z, 0.0), MlpModel(dims[1:], weights, biases, first_layer=1)
@@ -269,6 +255,8 @@ def read_manifest(path) -> list[ManifestRecord]:
         p, label = line.split("\t", 1)
         if not p or not label:
             raise DataError(f"{path}:{lineno}: empty path or label")
+        if "\0" in p:  # open() would raise ValueError
+            raise DataError(f"{path}:{lineno}: NUL byte in path")
         if not os.path.isabs(p):
             p = os.path.join(base, p)
         records.append(ManifestRecord(p, label))

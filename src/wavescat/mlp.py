@@ -3,7 +3,8 @@
 Row-vector convention throughout: Y = XW + b with W stored (inputs, outputs),
 so a batch is (B, inputs) @ (inputs, outputs).  Training runs in float64;
 the loss is softmax cross-entropy, computed with the usual logsumexp shift.
-Each layer casts its input to its weights' dtype (load_model's layer 0: float32).
+Each layer casts its input to its weights' dtype: the model file stores layer 0
+in float32, so a loaded head runs that layer in float32.
 
 RNG streams are split by purpose so results never depend on call order:
 default_rng([seed, 0]) for the train/test split, [seed, 1] for weight init,

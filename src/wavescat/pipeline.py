@@ -13,7 +13,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -270,12 +269,11 @@ class EvalReport:
     per_class: tuple
 
 
-def _check_model_fits(config: PipelineConfig, model_path, dims=None):
-    """A model's dims (read from its header if not given) must fit the config."""
+def _check_model_fits(config: PipelineConfig, model_path):
+    """A model's dims, read from its header, must fit the config."""
     expect = feature_length(config.width, config.height, config.scatter)
-    if dims is None:
-        with open(model_path, "rb") as fh:
-            dims = _read_model_header(fh, model_path)[0]
+    with open(model_path, "rb") as fh:
+        dims = _read_model_header(fh, model_path)[0]
     if dims[0] != expect:
         raise DataError(f"{model_path}: model expects {dims[0]} inputs, config implies {expect}")
     if dims[-1] != len(config.classes):
@@ -285,7 +283,8 @@ def _check_model_fits(config: PipelineConfig, model_path, dims=None):
 
 def run_eval(config: PipelineConfig, features_path, manifest_path, model_path) -> EvalReport:
     vecs, labels = _load_aligned(config, features_path, manifest_path)
-    h, tail = apply_first_layer(model_path, vecs, partial(_check_model_fits, config, model_path))
+    _check_model_fits(config, model_path)  # before any parameter is read
+    h, tail = apply_first_layer(model_path, vecs)
     mat = _confusion(config, labels, np.argmax(h, axis=1) if tail is None else predict(tail, h))
     return EvalReport(len(labels), multiclass_accuracy(mat), mat, _per_class_rows(mat))
 
@@ -300,7 +299,7 @@ class InferResult:
 def run_infer(config: PipelineConfig, model_path, image_path) -> InferResult:
     _check_model_fits(config, model_path)  # before the image is decoded
     x = extract_features(_load_plane(config, image_path), config.scatter)[None, :]
-    h, tail = apply_first_layer(model_path, x, partial(_check_model_fits, config, model_path))
+    h, tail = apply_first_layer(model_path, x)
     scores = h[0] if tail is None else mlp_forward(tail, h[0])
     probs = softmax(scores)
     return InferResult(str(image_path), config.classes[int(np.argmax(scores))],

@@ -1,6 +1,7 @@
 """End-to-end command line coverage, driving main() in process."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -374,3 +375,28 @@ def test_non_utf8_text_input_exit_2(tmp_path, capsys, reader):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "not UTF-8 text" in err and "byte offset 2" in err
+
+
+def test_manifest_path_with_nul_byte_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "nul.tsv"
+    manifest.write_bytes(b"a\x00b.ppm\tnest\n")
+    out = tmp_path / "o.feat"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "nul.tsv:1: NUL byte in path" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_version_1_model_exit_2(ws, tmp_path, capsys, command):
+    model = init_model((1344, *HIDDEN, len(CLASSES)), seed=0)
+    path = tmp_path / "v1.bin"
+    # version 1 stored every layer's weights row-major in float64
+    path.write_bytes(b"IWSNML01\x01" + struct.pack("<5Q", 4, *model.dims)
+                     + b"".join(a.astype("<f8").tobytes()
+                                for w, b in zip(model.weights, model.biases) for a in (w, b)))
+    argv = {"eval": ["eval", "--features", str(ws["feat"]), "--manifest", str(ws["manifest"])],
+            "infer": ["infer", "--image", str(ws["image"])]}[command]
+    assert main([*argv, "--model", str(path), "--config", str(ws["cfg"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "unsupported version 1 at byte offset 8" in err

@@ -21,6 +21,7 @@ from wavescat.flops import NetworkSpec, network_flops, parse_layers
 from wavescat.formats import (
     FEATURE_MAGIC,
     MODEL_MAGIC,
+    MODEL_VERSION,
     ManifestRecord,
     apply_first_layer,
     bitmask_selection,
@@ -426,25 +427,25 @@ def test_model_round_trip_bitwise(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     oracles.assert_inference_copy(loaded, model)
-    assert loaded.seed is None
-    # the file stays float64: the held float32 layer 0 saves back widened, exactly
+    assert loaded.seed is None and loaded.weights[0].flags.f_contiguous
+    # the file holds the float32 layer 0 that loads: the loaded head saves back unchanged
     save_model(loaded, tmp_path / "again.bin")
-    widened = MlpModel(model.dims, [model.weights[0].astype(np.float32).astype(np.float64),
-                                    *model.weights[1:]], model.biases)
-    save_model(widened, tmp_path / "widened.bin")
-    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "widened.bin").read_bytes()
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_model_file_layout(tmp_path):
     model = init_model((2, 3), seed=0)
+    model.biases[0][:] = [1.0, 2.0, 3.0]
     path = tmp_path / "m.bin"
     save_model(model, path)
     data = path.read_bytes()
     assert data[:8] == MODEL_MAGIC == b"IWSNML01"
-    assert data[8] == 1
+    assert data[8] == MODEL_VERSION == 2
     assert struct.unpack_from("<Q", data, 9)[0] == 2
     assert struct.unpack_from("<2Q", data, 17) == (2, 3)
-    assert len(data) == 8 + 1 + 8 + 16 + 8 * (2 * 3 + 3)
+    # layer 0's weights one output unit after another in float32, then its bias in float64
+    assert data[33:57] == model.weights[0].T.astype("<f4").tobytes()
+    assert data[57:] == model.biases[0].astype("<f8").tobytes()
 
 
 def test_model_load_errors(tmp_path):
@@ -459,8 +460,8 @@ def test_model_load_errors(tmp_path):
         load_model(wrong_magic)
 
     wrong_version = tmp_path / "wv.bin"
-    wrong_version.write_bytes(raw[:8] + b"\x02" + raw[9:])
-    with pytest.raises(DataError, match="unsupported version 2 at byte offset 8"):
+    wrong_version.write_bytes(raw[:8] + b"\x03" + raw[9:])
+    with pytest.raises(DataError, match="unsupported version 3 at byte offset 8"):
         load_model(wrong_version)
 
     for cut, what in [(8, "before version byte"), (12, "dim count"), (20, "dims"),
@@ -517,32 +518,25 @@ def test_save_model_peak_stays_far_below_one_copy(tmp_path):
 
 
 def test_load_model_peak_stays_near_half_a_copy(tmp_path):
-    model = init_model((4 * BIG_DIMS[0], *BIG_DIMS[1:]), seed=3)  # layer 0 spans 64 blocks
-    assert 8 * model.weights[0].size >= 64 * formats.LOAD_BYTES
+    model = init_model((4 * BIG_DIMS[0], *BIG_DIMS[1:]), seed=3)
     path = tmp_path / "m.bin"
     save_model(model, path)
-    # float32 layer 0 and float64 rest, plus the larger of the one read buffer
-    # and the finite check's bool temporary of W0: the buffer is freed first
+    # float32 layer 0 and float64 rest, each read in place, plus the finite
+    # check's bool temporary of W0
     peak = _traced_peak(load_model, path)
-    assert peak <= (_param_bytes(model) / 2 + max(formats.LOAD_BYTES, model.weights[0].size)
-                    + (64 << 10))
+    assert peak <= _param_bytes(model) / 2 + model.weights[0].size + (64 << 10)
     oracles.assert_inference_copy(load_model(path), model)
 
 
-def test_load_model_does_not_depend_on_its_read_block(tmp_path, monkeypatch):
-    model = init_model((3000, 64, 5), seed=4)  # layer 0: 1.5 MB, several default blocks
-    assert 8 * model.weights[0].size > 2 * formats.LOAD_BYTES
-    path = tmp_path / "m.bin"
-    save_model(model, path)
-    for nbytes in (8 * 64, 8 * 64 * 7, formats.LOAD_BYTES):  # one row; 3000 = 428 * 7 + 4
-        monkeypatch.setattr(formats, "LOAD_BYTES", nbytes)
-        loaded = load_model(path)
-        assert loaded.weights[0].flags.f_contiguous
-        oracles.assert_inference_copy(loaded, model)
-
-
 def _model_file(dims, body=b""):
-    return MODEL_MAGIC + b"\x01" + struct.pack(f"<{len(dims) + 1}Q", len(dims), *dims) + body
+    return (MODEL_MAGIC + bytes([MODEL_VERSION])
+            + struct.pack(f"<{len(dims) + 1}Q", len(dims), *dims) + body)
+
+
+def _params(dims, values):
+    """A model body holding values in file order: layer 0's weights in float32, the rest in float64."""
+    cut = dims[0] * dims[1]
+    return values[:cut].astype("<f4").tobytes() + values[cut:].astype("<f8").tobytes()
 
 
 def test_load_model_checks_sizes_before_allocating(tmp_path, monkeypatch):
@@ -607,58 +601,46 @@ def _fuzz_file(tmp_path_factory, data):
     return path
 
 
-FUZZ_RAW = _model_file((3, 2, 2)) + np.arange(1.0, 15.0).astype("<f8").tobytes()
+FUZZ_RAW = _model_file((3, 2, 2), _params((3, 2, 2), np.arange(1.0, 15.0)))
 
 
 @settings(deadline=None, max_examples=300)
 @given(data=_mutated(FUZZ_RAW))
-@example(data=FUZZ_RAW[:41] + b"\x01" + FUZZ_RAW[42:])  # 1 + 2**-52: not a float32
+@example(data=FUZZ_RAW[:44] + b"\x7f" + FUZZ_RAW[45:])  # layer 0's first weight 1.0 -> inf
 def test_load_model_mutations_load_or_raise_data_error(tmp_path_factory, data):
     path = _fuzz_file(tmp_path_factory, data)
     try:
         model = load_model(path)
     except DataError:
         return
-    # a file that loads is a well-formed model file and saves back unchanged,
-    # but for layer 0, which load_model holds rounded to float32
+    # a file that loads is a well-formed model file and saves back unchanged
     save_model(model, path)
-    start = 17 + 8 * len(model.dims)
-    layer0 = np.frombuffer(data, "<f8", model.weights[0].size, start)
-    assert path.read_bytes() == (data[:start] + layer0.astype(np.float32).astype("<f8").tobytes()
-                                 + data[start + layer0.nbytes:])
+    assert path.read_bytes() == data
 
 
 # ---------------------------------------------------------------------------
 # the streamed first layer (eval and infer)
 
 
-def _no_check(dims):
-    return None
-
-
-def test_apply_first_layer_sums_blocks_in_row_order(tmp_path, monkeypatch):
-    model = init_model((17, 3, 2), seed=8)
-    model.biases[0][:] = [0.5, -4.0, 0.25]
+def test_apply_first_layer_writes_each_column_block_with_one_product(tmp_path, monkeypatch):
+    model = init_model((17, 7, 2), seed=8)
+    model.biases[0][:] = [0.5, -4.0, 0.25, 1.0, -0.5, 2.0, 0.0]
     path = tmp_path / "m.bin"
     save_model(model, path)
+    head = load_model(path)
     x = np.random.default_rng(8).normal(size=(4, 17))
-    # float32 products of column-major float32 blocks, as load_model holds W0,
-    # summed in float64
-    x32, b = x.astype(np.float32), model.biases[0]
-    w = np.asfortranarray(model.weights[0], np.float32)
-    for rows in (5, 17, 1):  # 4 blocks with a short last one; one block; one row per block
-        monkeypatch.setattr(formats, "LOAD_BYTES", 8 * 3 * rows)
-        z = (x32[:, :rows] @ w[:rows]).astype(np.float64)
-        for r0 in range(rows, 17, rows):
-            z += x32[:, r0:r0 + rows] @ w[r0:r0 + rows]
-        h, tail = apply_first_layer(path, x, _no_check)
+    # each block of output units is one float32 product with its columns of
+    # load_model's column-major float32 W0
+    x32, w, b = x.astype(np.float32), head.weights[0], model.biases[0]
+    for cols in (3, 7, 1):  # 3 blocks with a short last one; one block; one unit per block
+        monkeypatch.setattr(formats, "BLOCK_COLUMNS", cols)
+        z = np.concatenate([x32 @ w[:, j0:j0 + cols] for j0 in range(0, 7, cols)], axis=1)
+        h, tail = apply_first_layer(path, x)
         assert h.tobytes() == np.maximum(z + b, 0.0).tobytes()
-        assert tail.dims == (3, 2) and models_equal(tail, MlpModel((3, 2), model.weights[1:],
+        assert tail.dims == (7, 2) and models_equal(tail, MlpModel((7, 2), model.weights[1:],
                                                                    model.biases[1:]))
-        if rows == 17:  # one block: bitwise load_model's head
-            assert h.tobytes() == _forward_batch(load_model(path), x)[1][1].tobytes()
-    monkeypatch.setattr(formats, "LOAD_BYTES", 1)  # a buffer smaller than one row holds one
-    assert apply_first_layer(path, x, _no_check)[0].tobytes() == h.tobytes()
+        if cols == 7:  # one block: bitwise load_model's head
+            assert h.tobytes() == _forward_batch(head, x)[1][1].tobytes()
 
 
 def test_apply_first_layer_of_a_one_layer_model_returns_scores(tmp_path):
@@ -667,36 +649,21 @@ def test_apply_first_layer_of_a_one_layer_model_returns_scores(tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)
     x = np.random.default_rng(2).normal(size=(3, 6))
-    scores, tail = apply_first_layer(path, x, _no_check)
+    scores, tail = apply_first_layer(path, x)
     assert tail is None
     assert scores.tobytes() == _forward_batch(load_model(path), x)[0].tobytes()
 
 
 def test_apply_first_layer_peak_stays_near_one_read_block(tmp_path):
-    model = init_model(BIG_DIMS, seed=5)  # layer 0 spans 16 blocks
-    assert 8 * model.weights[0].size >= 16 * formats.LOAD_BYTES
+    model = init_model(BIG_DIMS, seed=5)
+    assert BIG_DIMS[1] >= 16 * formats.BLOCK_COLUMNS  # layer 0 spans 16 blocks
     path = tmp_path / "m.bin"
     save_model(model, path)
     x = np.random.default_rng(5).normal(size=(4, BIG_DIMS[0]))
-    # the read buffer, its float32 cast and the cast's bool finite check, x's
-    # blocks in float32, the small later layers
-    peak = _traced_peak(apply_first_layer, path, x, _no_check)
-    assert peak <= 2 * formats.LOAD_BYTES + 4 * x.size + (64 << 10)
-
-
-def test_apply_first_layer_checks_dims_before_reading_parameters(tmp_path, monkeypatch):
-    path = tmp_path / "m.bin"
-    save_model(init_model((6, 4, 2), seed=2), path)
-    seen = []
-
-    def refuse(dims):
-        seen.append(dims)
-        raise DataError("does not fit")
-
-    monkeypatch.setattr(np, "empty", lambda *a, **kw: pytest.fail("read parameters first"))
-    with pytest.raises(DataError, match="does not fit"):
-        apply_first_layer(path, np.ones((1, 6)), refuse)
-    assert seen == [(6, 4, 2)]
+    # the float32 read buffer and its bool finite check, x in float32, the
+    # small outputs and later layers
+    peak = _traced_peak(apply_first_layer, path, x)
+    assert peak <= 5 * formats.BLOCK_COLUMNS * BIG_DIMS[0] + 4 * x.size + (64 << 10)
 
 
 def test_apply_first_layer_checks_each_parameter_once(tmp_path, monkeypatch):
@@ -712,17 +679,17 @@ def test_apply_first_layer_checks_each_parameter_once(tmp_path, monkeypatch):
     real = mlp.check_finite
     monkeypatch.setattr(formats, "check_finite", count)
     monkeypatch.setattr(mlp, "check_finite", count)
-    apply_first_layer(path, np.ones((1, 16)), _no_check)
+    apply_first_layer(path, np.ones((1, 16)))
     assert checked == {j: w.size + b.size
                        for j, (w, b) in enumerate(zip(model.weights, model.biases))}
 
 
 # the eval config of the streamed fuzz: 8x8 images, one U1 plane, 16 features
 STREAM_CFG = PipelineConfig(width=8, height=8, scatter=TINY, classes=("a", "b"))
-# weights in [1, 2) put 0x3f high bytes in the file, so one flip (^ 0x40) can
-# make an inf or a NaN in any layer
-STREAM_RAW = (_model_file((16, 3, 2))
-              + np.linspace(1.0, 2.0, 16 * 3 + 3 + 3 * 2 + 2, endpoint=False).astype("<f8").tobytes())
+# weights in [1, 2) put 0x3f high bytes in the file, in float32 and float64
+# alike, so one flip (^ 0x40) can make an inf or a NaN in any layer
+STREAM_RAW = _model_file((16, 3, 2), _params(
+    (16, 3, 2), np.linspace(1.0, 2.0, 16 * 3 + 3 + 3 * 2 + 2, endpoint=False)))
 
 
 def _stream_inputs(root):
@@ -730,6 +697,36 @@ def _stream_inputs(root):
     write_features(feat, np.random.default_rng(5).normal(size=(3, 16)), 8, 8, TINY)
     manifest.write_text("x.ppm\ta\ny.ppm\tb\nz.ppm\ta\n")
     return feat, manifest
+
+
+def test_eval_checks_the_model_fit_before_reading_parameters(tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    save_model(init_model((6, 4, 2), seed=2), path)
+    feat, manifest = _stream_inputs(tmp_path)
+    monkeypatch.setattr(formats, "_fill", lambda *a: pytest.fail("read parameters first"))
+    with pytest.raises(DataError, match="model expects 6 inputs, config implies 16"):
+        run_eval(STREAM_CFG, feat, manifest, path)
+
+
+def _readers(tmp_path, path):
+    """load_model, eval and infer of a model file, each as a call."""
+    feat, manifest = _stream_inputs(tmp_path)
+    image = tmp_path / "x.ppm"
+    write_ppm(image, np.zeros((8, 8, 3), dtype=np.uint8))
+    return (lambda: load_model(path), lambda: run_eval(STREAM_CFG, feat, manifest, path),
+            lambda: run_infer(STREAM_CFG, path, image))
+
+
+def test_version_1_model_file_is_rejected_by_every_reader(tmp_path):
+    model = init_model((16, 4, 2), seed=6)
+    path = tmp_path / "v1.bin"
+    # version 1 stored every layer's weights row-major in float64
+    path.write_bytes(MODEL_MAGIC + b"\x01" + struct.pack("<4Q", 3, *model.dims)
+                     + b"".join(a.astype("<f8").tobytes()
+                                for w, b in zip(model.weights, model.biases) for a in (w, b)))
+    for read in _readers(tmp_path, path):
+        with pytest.raises(DataError, match=r"v1\.bin: unsupported version 1 at byte offset 8$"):
+            read()
 
 
 @settings(deadline=None, max_examples=300)
@@ -779,17 +776,10 @@ def test_streamed_head_names_the_non_finite_layer(tmp_path, layer, part):
     getattr(model, part)[layer].flat[-1] = np.inf
     path = tmp_path / "m.bin"
     save_model(model, path)
-    feat, manifest = _stream_inputs(tmp_path)
-    image = tmp_path / "x.ppm"
-    write_ppm(image, np.zeros((8, 8, 3), dtype=np.uint8))
-    with pytest.raises(DataError) as held:
-        load_model(path)
-    assert str(held.value) == f"layer {layer}: non-finite parameters"
-    for run in (lambda: run_eval(STREAM_CFG, feat, manifest, path),
-                lambda: run_infer(STREAM_CFG, path, image)):
-        with pytest.raises(DataError) as streamed:
-            run()
-        assert str(streamed.value) == str(held.value)
+    for read in _readers(tmp_path, path):
+        with pytest.raises(DataError) as exc:
+            read()
+        assert str(exc.value) == f"layer {layer}: non-finite parameters"
 
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -805,15 +795,10 @@ def test_layer0_is_valid_iff_its_float32_cast_is_finite_for_every_reader(tmp_pat
     model = init_model((16, 4, 2), seed=6)
     model.weights[0][3, 1] = value
     path = tmp_path / "m.bin"
-    save_model(model, path)
-    feat, manifest = _stream_inputs(tmp_path)
-    image = tmp_path / "x.ppm"
-    write_ppm(image, np.zeros((8, 8, 3), dtype=np.uint8))
-    readers = (lambda: load_model(path), lambda: run_eval(STREAM_CFG, feat, manifest, path),
-               lambda: run_infer(STREAM_CFG, path, image))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the finite check reports it, not a cast warning
-        for read in readers:
+        save_model(model, path)  # the file holds the cast: inf beyond float32's range
+        for read in _readers(tmp_path, path):
             if valid:
                 read()
             else:
@@ -849,6 +834,9 @@ def test_manifest_errors_name_line(tmp_path):
         read_manifest(path)
     path.write_text("\tnest\n")
     with pytest.raises(DataError, match=r"list\.tsv:1: empty path or label"):
+        read_manifest(path)
+    path.write_text("ok.ppm\tnest\na\0b.ppm\tkite\n")
+    with pytest.raises(DataError, match=r"list\.tsv:2: NUL byte in path"):
         read_manifest(path)
 
 
@@ -901,6 +889,8 @@ LAYERS_RAW = ("conv2d K=3 C_out=4 P=1 bias=1  # stem\nrelu\nmaxpool K=2 S=2\n"
 
 
 def test_fuzz_seeds_are_well_formed(tmp_path_factory):
+    assert load_model(_fuzz_file(tmp_path_factory, FUZZ_RAW)).dims == (3, 2, 2)
+    assert load_model(_fuzz_file(tmp_path_factory, STREAM_RAW)).dims == (16, 3, 2)
     assert read_features(_fuzz_file(tmp_path_factory, FEATURES_RAW))[0].shape == (2, 16)
     shapes = [load_image_channel(_fuzz_file(tmp_path_factory, raw)).shape for raw in PNM_RAWS]
     assert shapes == [(2, 3), (2, 4)]

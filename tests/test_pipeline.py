@@ -452,12 +452,12 @@ def _held_probs(config, model, image_path):
 def test_streamed_head_is_bitwise_when_layer0_fits_one_block(dataset, features, trained,
                                                             monkeypatch):
     path, model, _ = trained
-    monkeypatch.setattr(formats, "LOAD_BYTES", 8 * model.dims[0] * model.dims[1])  # 688 KB
+    monkeypatch.setattr(formats, "BLOCK_COLUMNS", model.dims[1])  # every output unit at once
     head = load_model(path)
     held = _held_eval(CFG64, features, dataset, head)
     assert repr(run_eval(CFG64, features, dataset, path)) == repr(held)
     vecs = read_features(features)[0]
-    h, tail = apply_first_layer(path, vecs, lambda dims: None)
+    h, tail = apply_first_layer(path, vecs)
     assert _forward_batch(tail, h)[0].tobytes() == _forward_batch(head, vecs)[0].tobytes()
     for rec in read_manifest(dataset)[:6]:
         want = tuple(float(p) for p in _held_probs(CFG64, head, rec.path))
@@ -479,7 +479,7 @@ CFG512 = PipelineConfig(width=512, height=512)
 
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):
-    """A 512x512 pipeline: its layer 0 (86016x64, 44 MB) spans six blocks."""
+    """A 512x512 pipeline: its layer 0 (86016x64, 22 MB in the file) spans 16 blocks."""
     root = tmp_path_factory.mktemp("wide")
     records = []
     for i, label in enumerate(synth.CLASSES[:4]):
@@ -496,17 +496,16 @@ def wide(tmp_path_factory):
 
 def test_streamed_head_over_many_blocks_keeps_decisions(wide):
     manifest, feat, path, model = wide
-    veclen = feature_length(512, 512, CFG512.scatter)
-    assert -(-veclen // (formats.LOAD_BYTES // (8 * HIDDEN[0]))) >= 4  # blocks
+    assert -(-HIDDEN[0] // formats.BLOCK_COLUMNS) >= 4  # blocks
     held = _held_eval(CFG512, feat, manifest, model)  # float64 decisions
     assert repr(run_eval(CFG512, feat, manifest, path)) == repr(held)
     vecs = read_features(feat)[0]
-    h, tail = apply_first_layer(path, vecs, lambda dims: None)
+    h, tail = apply_first_layer(path, vecs)
     moved = np.abs(_forward_batch(tail, h)[0] - _forward_batch(model, vecs)[0])
     assert (moved <= oracles.float32_head_score_bound(model, vecs)).all()
     for rec in read_manifest(manifest):
         x = extract_features(load_image_channel(rec.path, CFG512.channel), CFG512.scatter)
-        h, tail = apply_first_layer(path, x[None, :], lambda dims: None)
+        h, tail = apply_first_layer(path, x[None, :])
         scores, want = mlp_forward(tail, h[0]), mlp_forward(model, x)
         assert (np.abs(scores - want) <= oracles.float32_head_score_bound(model, x)).all()
         got = run_infer(CFG512, path, rec.path)
