@@ -41,7 +41,7 @@ def seconds(x, kernel, stride, axis, gemm, repeats):
     scattering.GEMM_MIN_TAPS, scattering.GEMM_MIN_PIXELS = (1, 0) if gemm else (k + 1, x.size + 1)
     scattering._pass_plan.cache_clear()  # a cached plan keeps the engine it was built with
     assert scattering._runs_as_gemm(k, x.shape) == gemm
-    one_pass = scattering._pass_plan(kernel, x.shape, "symmetric", stride, axis, scattering._BLOCK)
+    one_pass = scattering._pass_plan(kernel, x.shape, "symmetric", stride, axis)
     t0 = time.perf_counter()
     for _ in range(repeats):
         one_pass(x)

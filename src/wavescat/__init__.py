@@ -15,8 +15,8 @@ from .metrics import (BinaryTally, ConfusionMatrix, acc, binary_tally,
 from .mlp import (MlpModel, TrainConfig, cross_entropy, init_model, mlp_backward,
                   mlp_forward, models_equal, predict, softmax, split_train_test, train)
 from .pipeline import (BenchReport, EvalReport, ExtractReport, InferResult,
-                       PipelineConfig, TrainReport, extract_features, overlay_configs,
-                       run_bench, run_eval, run_extract, run_infer, run_train)
+                       PipelineConfig, TrainReport, extract_features, feature_config,
+                       overlay_configs, run_bench, run_eval, run_extract, run_infer, run_train)
 from .ppm import load_image_channel, write_ppm
 from .scattering import (ScatterConfig, ScatterOutput, cascade_steps, conv2_decimated,
                          feature_length, feature_vector, plane_dims, scatter,
@@ -33,7 +33,7 @@ __all__ = [
     "acc", "avgpool_flops", "binary_tally", "cascade_steps", "confusion_from_predictions",
     "conv2_decimated", "conv_flops", "conv_out_size", "cross_entropy",
     "dump_filter_lines", "efficiency", "extract_features", "fc_flops",
-    "feature_length", "feature_vector", "init_model", "load_image_channel",
+    "feature_config", "feature_length", "feature_vector", "init_model", "load_image_channel",
     "load_model", "make_filter_pair", "make_kernel2d", "mlp_backward", "mlp_forward",
     "models_equal", "multiclass_accuracy", "network_flops", "overlay_configs",
     "parse_config_file", "parse_layers", "pipeline_flops", "plane_dims", "ppv",

@@ -1,12 +1,11 @@
 """Binary and text file formats.
 
-Feature file (magic IWSNFV01): header of unsigned 64-bit little-endian
-fields (input width, input height, depth, one basis id per level, the
-selection bitmask, and the vector length) followed by the feature vectors
-as 32-bit IEEE-754 little-endian floats, one record after another.  Basis
-ids are 1-based positions in filters.BASES; selection bit i corresponds to
-position i of the declared plane order (S0, U1..Um, S1..Sm).  The record
-count is not stored; it is implied by the file size.
+Feature file (magic IWSNFV02): the header text's length as an unsigned 64-bit
+little-endian integer, the header text, the vector length as u64, then the
+feature vectors as 32-bit IEEE-754 little-endian floats, one record after
+another.  The header text is the config-file lines the vectors depend on
+(pipeline.feature_config); a reader compares it with its own config's.  The
+record count is not stored; it is implied by the file size.
 
 Model file (magic IWSNML01): version byte 0x02, the number of dims as u64,
 the dims as u64 each, then layer 0's weights as float32 little-endian, one
@@ -31,56 +30,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .filters import BASES
 from .mlp import MlpModel, check_finite
-from .scattering import MAX_DEPTH, ScatterConfig, feature_length, selection_names
 
-FEATURE_MAGIC = b"IWSNFV01"
+FEATURE_MAGIC = b"IWSNFV02"
+FEATURE_TEXT_OFFSET = len(FEATURE_MAGIC) + 8  # the header text follows the magic and its length
 MODEL_MAGIC = b"IWSNML01"
 MODEL_VERSION = 2
 BLOCK_COLUMNS = 4  # output units per block of apply_first_layer's streamed layer 0
 
 
-def selection_bitmask(depth: int, selection) -> int:
-    names = selection_names(depth)
-    wanted = set(selection)
-    mask = 0
-    for i, name in enumerate(names):
-        if name in wanted:
-            mask |= 1 << i
-    return mask
-
-
-def bitmask_selection(depth: int, mask: int) -> tuple[str, ...]:
-    names = selection_names(depth)
-    if mask >> len(names):
-        raise DataError(f"selection bitmask {mask:#x} has bits beyond the {len(names)} planes")
-    return tuple(name for i, name in enumerate(names) if mask >> i & 1)
-
-
-def write_features(path, vectors, width: int, height: int, config: ScatterConfig):
-    """Write feature vectors (any iterable of 1D arrays of the config's
-    feature length).  An empty iterable yields a zero-record file whose
-    header still carries the true vector length."""
+def write_features(path, vectors, config_text: bytes, veclen: int):
+    """Write feature vectors (any iterable of 1D arrays of length veclen) under
+    the header text config_text.  An empty iterable yields a zero-record file
+    whose header still carries the true vector length."""
     rows = [np.asarray(v, dtype="<f4") for v in vectors]
-    veclen = feature_length(width, height, config)
     for r in rows:
         if r.ndim != 1:
             raise DataError(f"feature vectors must be 1D of length {veclen}, got shape {r.shape}")
         if len(r) != veclen:
             raise DataError(f"feature vectors must have length {veclen}, got {len(r)}")
-    ids = [BASES.index(b) + 1 for b in config.level_bases]
-    mask = selection_bitmask(config.depth, config.selection)
-    header = [width, height, config.depth, *ids, mask, veclen]
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack(f"<{len(header)}Q", *header))
+        fh.write(FEATURE_MAGIC + struct.pack("<Q", len(config_text)) + config_text
+                 + struct.pack("<Q", veclen))
         for r in rows:
             fh.write(np.ascontiguousarray(r))  # the row's own buffer; no bytes copy
 
 
 def read_features(path):
-    """Returns (vectors (N, veclen) float32 array, header dict)."""
+    """Returns (vectors (N, veclen) float32 array, {"config": header text, "veclen": veclen})."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != FEATURE_MAGIC:
@@ -95,18 +72,13 @@ def read_features(path):
         pos += 8
         return val
 
-    width, height, depth = u64("width"), u64("height"), u64("depth")
-    if not 1 <= depth <= MAX_DEPTH:
-        raise DataError(f"{path}: implausible depth {depth} at byte offset 24")
-    bases = []
-    for i in range(depth):
-        bid = u64(f"basis {i+1}")
-        if not 1 <= bid <= len(BASES):
-            raise DataError(f"{path}: unknown basis id {bid} at byte offset {pos - 8}")
-        bases.append(BASES[bid - 1])
-    mask = u64("selection bitmask")
+    size = u64("header text length")
+    if size > len(data) - pos:
+        raise DataError(f"{path}: header text length {size} runs past the "
+                        f"{len(data)}-byte file at byte offset 8")
+    text = data[pos:pos + size]
+    pos += size
     veclen = u64("vector length")
-    selection = bitmask_selection(depth, mask)
     if veclen == 0:
         raise DataError(f"{path}: zero vector length at byte offset {pos - 8}")
     body = len(data) - pos
@@ -119,9 +91,7 @@ def read_features(path):
             f"{path}: data size {body} is not a whole number of "
             f"{veclen}-float records at byte offset {pos}")
     vecs = np.frombuffer(data, dtype="<f4", offset=pos).reshape(-1, veclen)
-    header = {"width": width, "height": height, "depth": depth,
-              "bases": tuple(bases), "selection": selection, "veclen": veclen}
-    return vecs, header
+    return vecs, {"config": text, "veclen": veclen}
 
 
 def save_model(model: MlpModel, path):

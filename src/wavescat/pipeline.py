@@ -9,6 +9,7 @@ isolated pure computation and outputs are restored to manifest order.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import synth
 from .errors import DataError, UndefinedMetricError
-from .formats import (_read_model_header, apply_first_layer, load_model, read_features,
-                      read_manifest, save_model, write_features)
+from .formats import (FEATURE_TEXT_OFFSET, _read_model_header, apply_first_layer, load_model,
+                      read_features, read_manifest, save_model, write_features)
 from .metrics import (ConfusionMatrix, acc, binary_tally, confusion_from_predictions,
                       multiclass_accuracy, ppv, tpr)
 from .mlp import (HIDDEN, TrainConfig, init_model, mlp_forward, predict, softmax,
@@ -113,6 +114,21 @@ def overlay_configs(mapping, pipeline: PipelineConfig | None = None,
             replace(t, **fields["train"]))
 
 
+def feature_config(config: PipelineConfig) -> bytes:
+    """The config-file lines a feature vector depends on, in CONFIG_KEYS order:
+    every key but classes, threads and the training keys.  Tuples are
+    comma-joined and bools written as 1/0, so overlay_configs reads them back."""
+    lines = []
+    for key, (target, name, _) in CONFIG_KEYS.items():
+        if target == "train" or key in ("classes", "threads"):
+            continue
+        val = getattr(config.scatter if target == "scatter" else config, name)
+        if isinstance(val, tuple):
+            val = ",".join(val)
+        lines.append(f"{key} = {int(val) if isinstance(val, bool) else val}\n")
+    return "".join(lines).encode()
+
+
 def extract_features(plane, config: ScatterConfig) -> np.ndarray:
     return feature_vector(scatter(plane, config), config.selection)
 
@@ -140,20 +156,16 @@ def _load_plane(config: PipelineConfig, path):
 
 
 def _check_feature_header(config: PipelineConfig, header, path):
-    scfg = config.scatter
-    if (header["width"], header["height"]) != (config.width, config.height):
-        raise DataError(f"{path}: features were extracted from "
-                        f"{header['width']}x{header['height']} images, config expects "
-                        f"{config.width}x{config.height}")
-    if header["bases"] != scfg.level_bases:
-        raise DataError(f"{path}: features use bases {header['bases']}, config expects "
-                        f"{scfg.level_bases}")
-    if header["selection"] != scfg.selection:
-        raise DataError(f"{path}: features select {header['selection']}, config expects "
-                        f"{scfg.selection}")
-    expect = feature_length(config.width, config.height, scfg)
+    got, want = header["config"], feature_config(config)
+    if got != want:
+        start = os.path.commonprefix([got, want]).rfind(b"\n") + 1  # the first line that differs
+        got_line, want_line = (text[start:].split(b"\n", 1)[0] for text in (got, want))
+        raise DataError(f"{path}: features were extracted with {got_line!r}, config has "
+                        f"{want_line!r} at byte offset {FEATURE_TEXT_OFFSET + start}")
+    expect = feature_length(config.width, config.height, config.scatter)
     if header["veclen"] != expect:
-        raise DataError(f"{path}: vector length {header['veclen']}, config implies {expect}")
+        raise DataError(f"{path}: vector length {header['veclen']}, config implies {expect} "
+                        f"at byte offset {FEATURE_TEXT_OFFSET + len(got)}")
 
 
 # Planes smaller than this are extracted on the calling thread: their numpy
@@ -179,7 +191,7 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     planes under POOL_MIN_PIXELS, or a single worker, run on this thread.
     A config whose kernels do not fit its planes fails before any read.
     """
-    feature_length(config.width, config.height, config.scatter)
+    veclen = feature_length(config.width, config.height, config.scatter)
     records = read_manifest(manifest_path)
     load_labels(records, config.classes)
     small = config.width * config.height < POOL_MIN_PIXELS
@@ -194,7 +206,7 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         outcomes = list((pool.map if pool else map)(work, records))
     vectors = [vec for vec, _ in outcomes if vec is not None]
-    write_features(out_path, vectors, config.width, config.height, config.scatter)
+    write_features(out_path, vectors, feature_config(config), veclen)
     return ExtractReport(len(vectors), tuple(f for _, f in outcomes if f is not None), workers)
 
 
@@ -274,11 +286,12 @@ def _check_model_fits(config: PipelineConfig, model_path):
     expect = feature_length(config.width, config.height, config.scatter)
     with open(model_path, "rb") as fh:
         dims = _read_model_header(fh, model_path)[0]
-    if dims[0] != expect:
-        raise DataError(f"{model_path}: model expects {dims[0]} inputs, config implies {expect}")
+    if dims[0] != expect:  # the dims start at byte 17, one u64 each
+        raise DataError(f"{model_path}: model expects {dims[0]} inputs, config implies {expect} "
+                        f"at byte offset 17")
     if dims[-1] != len(config.classes):
         raise DataError(f"{model_path}: model has {dims[-1]} outputs, config names "
-                        f"{len(config.classes)} classes")
+                        f"{len(config.classes)} classes at byte offset {17 + 8 * (len(dims) - 1)}")
 
 
 def run_eval(config: PipelineConfig, features_path, manifest_path, model_path) -> EvalReport:

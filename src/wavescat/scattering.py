@@ -48,8 +48,7 @@ from .filters import (
 BOUNDARIES = ("symmetric", "periodic")
 VARIANTS = ("classic", "improved")
 SMOOTH_WITH = ("first", "last")
-# Feature files store the selection as one u64 bitmask over the 2*depth+1
-# selectable planes, so depth 31 is the deepest cascade a file can describe.
+# The deepest cascade a config may ask for; it also sizes selection_names' cache.
 MAX_DEPTH = 31
 
 
@@ -162,8 +161,8 @@ def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
 # temporaries.
 _BLOCK = 1 << 15
 # The engine rule, from README's tap sweep: see _runs_as_gemm.  A plan keeps
-# the engine it was built with, so patching either constant takes effect on
-# plans built after _pass_plan's cache is cleared.
+# the _BLOCK and the engine it was built with, so patching _BLOCK or either
+# constant takes effect on plans built after _pass_plan's cache is cleared.
 GEMM_MIN_TAPS = 8
 GEMM_MIN_PIXELS = 1 << 16
 # Outputs per tile, and the rows of every row-pass GEMM.  Every GEMM of a
@@ -188,7 +187,7 @@ def _runs_as_gemm(taps: int, in_shape: tuple[int, int]) -> bool:
 # extended axis and, for the tap loop, one slice per tap per block.
 @lru_cache(maxsize=256)
 def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
-               axis: int, block: int):
+               axis: int):
     """One decimating 1D pass of `kernel` along `axis` over planes of
     `in_shape`, laid out once: returns a function that maps such a plane to
     a freshly allocated output and never writes the plane.
@@ -196,7 +195,7 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
     Where _runs_as_gemm says so, the pass runs as tile GEMMs: a row pass
     (axis 1) as one GEMM per tile per _TILE_ROWS rows, a column pass (axis 0)
     as one GEMM per tile over the whole width.  Every other pass is a tap
-    loop over blocks of about `block` outputs, reading the plane in place
+    loop over blocks of about _BLOCK outputs, reading the plane in place
     when this axis needs no boundary extension.  The tap loop sums each
     output's taps in the fixed order 0..k-1, so its bits do not depend on
     the block size.  The GEMM rounds through fused multiply-adds, so its
@@ -275,7 +274,7 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
         return gemm_row_pass
 
     rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
-    step = max(1, block // cols)
+    step = max(1, _BLOCK // cols)
     blocks = []  # (output rows, scratch rows, one input index per tap)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
@@ -321,9 +320,8 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     x = validate_plane(plane)
     s = _checked_stride(boundary, decimate)  # checks the boundary mode too
     _check_fit(x.shape, kernel, s)
-    # _BLOCK is read per call and keys the plan, so patching it re-plans
-    rows = _pass_plan(kernel, x.shape, boundary, s, 1, _BLOCK)(x)
-    return _pass_plan(kernel, rows.shape, boundary, s, 0, _BLOCK)(rows)
+    rows = _pass_plan(kernel, x.shape, boundary, s, 1)(x)
+    return _pass_plan(kernel, rows.shape, boundary, s, 0)(rows)
 
 
 class Step(NamedTuple):

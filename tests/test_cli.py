@@ -2,6 +2,7 @@
 
 import csv
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wavescat.scattering import ScatterConfig
 from wavescat.synth import CLASSES
 
 EPOCHS = 8
+SYNTH64 = Path(__file__).resolve().parents[1] / "configs" / "synth64.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -400,3 +402,32 @@ def test_version_1_model_exit_2(ws, tmp_path, capsys, command):
     assert main([*argv, "--model", str(path), "--config", str(ws["cfg"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "unsupported version 1 at byte offset 8" in err
+
+
+def test_features_of_another_config_exit_2(ws, tmp_path, capsys):
+    # same dims and feature length as synth64.cfg, other channel, variant and boundary
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(ws["cfg"].read_text() + "channel = R\nvariant = classic\nboundary = periodic\n")
+    feat = tmp_path / "other.feat"
+    common = ["--manifest", str(ws["manifest"]), "--features", str(feat)]
+    assert main(["extract", "--manifest", str(ws["manifest"]), "--out", str(feat),
+                 "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    for argv in (["train", *common, "--out", str(tmp_path / "m.bin")],
+                 ["eval", *common, "--model", str(ws["model"])]):
+        assert main([*argv, "--config", str(SYNTH64)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "extracted with b'channel = R', config has b'channel = B' at byte offset 39" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_version_1_feature_file_exit_2(ws, tmp_path, capsys):
+    path = tmp_path / "v1.feat"
+    # version 1 stored width, height, depth, basis ids, a selection bitmask and veclen as u64s
+    path.write_bytes(b"IWSNFV01" + struct.pack("<8Q", 64, 64, 3, 1, 2, 3, 0b1110, 1344)
+                     + bytes(15 * 1344 * 4))
+    assert main(["train", "--features", str(path), "--manifest", str(ws["manifest"]),
+                 "--out", str(tmp_path / "m.bin"), "--config", str(ws["cfg"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "bad magic b'IWSNFV01'" in err

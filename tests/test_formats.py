@@ -20,30 +20,33 @@ from wavescat.errors import DataError, NumericError
 from wavescat.flops import NetworkSpec, network_flops, parse_layers
 from wavescat.formats import (
     FEATURE_MAGIC,
+    FEATURE_TEXT_OFFSET,
     MODEL_MAGIC,
     MODEL_VERSION,
     ManifestRecord,
     apply_first_layer,
-    bitmask_selection,
     load_model,
     parse_config_file,
     read_features,
     read_manifest,
     read_text,
     save_model,
-    selection_bitmask,
     write_features,
     write_manifest,
 )
 from wavescat.mlp import MlpModel, _forward_batch, init_model, mlp_forward, models_equal, softmax
 from wavescat.mlp import predict as mlp_predict
-from wavescat.pipeline import (PipelineConfig, extract_features, overlay_configs, run_eval,
-                               run_infer)
+from wavescat.pipeline import (PipelineConfig, extract_features, feature_config,
+                               overlay_configs, run_eval, run_infer, run_train)
 from wavescat import ppm
-from wavescat.ppm import load_image_channel, write_ppm
-from wavescat.scattering import ScatterConfig, feature_length
+from wavescat.filters import BASES
+from wavescat.ppm import CHANNELS, load_image_channel, write_ppm
+from wavescat.scattering import (BOUNDARIES, SMOOTH_WITH, VARIANTS, ScatterConfig,
+                                 feature_length, selection_names)
 
 TINY = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
+# the header text of 8x8 files of TINY's 16 features
+TINY_TEXT = feature_config(PipelineConfig(width=8, height=8, scatter=TINY))
 
 
 # ---------------------------------------------------------------------------
@@ -261,57 +264,72 @@ def test_write_ppm_validates_shape(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# selection bitmask
-
-
-def test_selection_bitmask_uses_declared_plane_order():
-    # depth 3 plane order: S0, U1, U2, U3, S1, S2, S3 -> bits 0..6
-    assert selection_bitmask(3, ("U1", "U2", "U3")) == 0b0001110
-    assert selection_bitmask(3, ("S0",)) == 0b0000001
-    assert selection_bitmask(3, ("S3",)) == 0b1000000
-    assert bitmask_selection(3, 0b0001110) == ("U1", "U2", "U3")
-    assert bitmask_selection(3, 0b1000001) == ("S0", "S3")
-
-
-def test_bitmask_round_trip_and_guard():
-    for sel in [("U1",), ("S0", "U2"), ("S0", "U1", "U2", "S1", "S2")]:
-        mask = selection_bitmask(2, sel)
-        assert set(bitmask_selection(2, mask)) == set(sel)
-    with pytest.raises(DataError, match="beyond the 5 planes"):
-        bitmask_selection(2, 1 << 5)
-
-
-# ---------------------------------------------------------------------------
 # feature files
 
 
+def test_feature_header_is_the_config_lines_the_vectors_depend_on():
+    assert TINY_TEXT == (b"width = 8\nheight = 8\nchannel = B\ndepth = 1\nbases = bior1.1\n"
+                         b"boundary = symmetric\ndecimate = 2\nvariant = improved\n"
+                         b"selection = U1\nsmooth_with = first\nsmooth_decimate = 1\n")
+    # classes, threads and the training keys do not change a vector
+    other = PipelineConfig(width=8, height=8, scatter=TINY, classes=("a", "b"), threads=4)
+    assert feature_config(other) == TINY_TEXT
+
+
+@st.composite
+def _pipeline_configs(draw):
+    depth = draw(st.integers(1, 3))
+    scatter = ScatterConfig(
+        depth=depth,
+        level_bases=draw(st.lists(st.sampled_from(BASES), min_size=depth, max_size=depth)),
+        boundary=draw(st.sampled_from(BOUNDARIES)), decimate=draw(st.integers(1, 5)),
+        variant=draw(st.sampled_from(VARIANTS)),
+        # any order, repeats too: the config keeps its declared order, once each
+        selection=draw(st.lists(st.sampled_from(selection_names(depth)), min_size=1)),
+        smooth_with=draw(st.sampled_from(SMOOTH_WITH)), smooth_decimate=draw(st.booleans()))
+    return PipelineConfig(width=draw(st.integers(1, 5000)), height=draw(st.integers(1, 5000)),
+                          channel=draw(st.sampled_from(sorted(CHANNELS))), scatter=scatter)
+
+
+@settings(deadline=None)
+@given(_pipeline_configs())
+def test_feature_header_reads_back_as_a_config_file(tmp_path_factory, config):
+    feat = tmp_path_factory.getbasetemp() / "header.feat"
+    write_features(feat, [], feature_config(config), 1)
+    text = tmp_path_factory.getbasetemp() / "header.cfg"
+    text.write_bytes(read_features(feat)[1]["config"])
+    back, _ = overlay_configs(parse_config_file(text))
+    assert feature_config(back) == feature_config(config)
+    assert back == config
+
+
 def test_feature_file_holds_the_deepest_config(tmp_path):
-    deep = ScatterConfig(depth=31, level_bases=("bior1.1",) * 31, selection=("S31",))
+    deep = PipelineConfig(width=8, height=8, scatter=ScatterConfig(
+        depth=31, level_bases=("bior1.1",) * 31, selection=("S31",)))
     path = tmp_path / "deep.bin"
-    write_features(path, [np.ones(1)], 8, 8, deep)
+    write_features(path, [np.ones(1)], feature_config(deep), 1)
     vecs, header = read_features(path)
-    assert (header["depth"], header["selection"], vecs.shape) == (31, ("S31",), (1, 1))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:24] + struct.pack("<Q", 32) + raw[32:])
-    with pytest.raises(DataError, match="implausible depth 32 at byte offset 24"):
-        read_features(path)
+    assert vecs.shape == (1, 1)
+    assert b"\ndepth = 31\n" in header["config"] and b"\nselection = S31\n" in header["config"]
+    text = tmp_path / "deep.cfg"
+    text.write_bytes(header["config"])
+    assert overlay_configs(parse_config_file(text))[0] == deep
 
 
 def test_feature_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     rows = [rng.random(16) for _ in range(3)]
     path = tmp_path / "f.bin"
-    write_features(path, rows, 8, 8, TINY)
+    write_features(path, rows, TINY_TEXT, 16)
     vecs, header = read_features(path)
-    assert header == {"width": 8, "height": 8, "depth": 1,
-                      "bases": ("bior1.1",), "selection": ("U1",), "veclen": 16}
+    assert header == {"config": TINY_TEXT, "veclen": 16}
     assert vecs.shape == (3, 16)
     assert np.array_equal(vecs, np.array(rows, dtype=np.float32))
 
 
 def test_feature_file_empty_still_carries_length(tmp_path):
     path = tmp_path / "empty.bin"
-    write_features(path, [], 8, 8, TINY)
+    write_features(path, [], TINY_TEXT, 16)
     vecs, header = read_features(path)
     assert vecs.shape == (0, 16)
     assert header["veclen"] == 16
@@ -319,17 +337,20 @@ def test_feature_file_empty_still_carries_length(tmp_path):
 
 def test_feature_file_magic_layout(tmp_path):
     path = tmp_path / "f.bin"
-    write_features(path, [np.zeros(16)], 8, 8, TINY)
+    write_features(path, [np.zeros(16)], TINY_TEXT, 16)
     data = path.read_bytes()
-    assert data[:8] == FEATURE_MAGIC == b"IWSNFV01"
-    # width, height, depth, one basis id, mask, veclen as u64 LE
-    assert struct.unpack_from("<6Q", data, 8) == (8, 8, 1, 1, 0b10, 16)
-    assert len(data) == 8 + 6 * 8 + 16 * 4
+    assert data[:8] == FEATURE_MAGIC == b"IWSNFV02"
+    # the text's length as u64 LE, the text, veclen as u64 LE, then the records
+    n = len(TINY_TEXT)
+    assert struct.unpack_from("<Q", data, 8) == (n,)
+    assert data[16:16 + n] == TINY_TEXT and FEATURE_TEXT_OFFSET == 16
+    assert struct.unpack_from("<Q", data, 16 + n) == (16,)
+    assert len(data) == 16 + n + 8 + 16 * 4
 
 
 def test_write_features_rejects_wrong_length(tmp_path):
     with pytest.raises(DataError, match="must have length 16, got 5"):
-        write_features(tmp_path / "f.bin", [np.zeros(5)], 8, 8, TINY)
+        write_features(tmp_path / "f.bin", [np.zeros(5)], TINY_TEXT, 16)
 
 
 @pytest.mark.parametrize("row,shape", [(np.float32(1.0), "()"),
@@ -338,7 +359,7 @@ def test_write_features_rejects_wrong_length(tmp_path):
 def test_write_features_rejects_rows_that_are_not_1d(tmp_path, row, shape):
     path = tmp_path / "f.bin"
     with pytest.raises(DataError, match=f"must be 1D of length 16, got shape {shape}"):
-        write_features(path, [np.zeros(16), row], 8, 8, TINY)
+        write_features(path, [np.zeros(16), row], TINY_TEXT, 16)
     assert not path.exists()
 
 
@@ -349,14 +370,14 @@ def test_write_features_strided_and_big_endian_rows_match_contiguous(tmp_path):
     wide[:, ::2] = rows
     twins = [wide[0, ::2], rows[1].astype(">f4")]
     assert not twins[0].flags.c_contiguous
-    write_features(tmp_path / "a.feat", rows, 8, 8, TINY)
-    write_features(tmp_path / "b.feat", twins, 8, 8, TINY)
+    write_features(tmp_path / "a.feat", rows, TINY_TEXT, 16)
+    write_features(tmp_path / "b.feat", twins, TINY_TEXT, 16)
     assert (tmp_path / "b.feat").read_bytes() == (tmp_path / "a.feat").read_bytes()
 
 
 def test_read_features_error_offsets(tmp_path):
     good = tmp_path / "good.bin"
-    write_features(good, [np.zeros(16)], 8, 8, TINY)
+    write_features(good, [np.zeros(16)], TINY_TEXT, 16)
     raw = good.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.bin"
@@ -365,28 +386,31 @@ def test_read_features_error_offsets(tmp_path):
         read_features(bad_magic)
 
     short = tmp_path / "short.bin"
-    short.write_bytes(raw[:20])
-    with pytest.raises(DataError, match="truncated header"):
+    short.write_bytes(raw[:12])
+    with pytest.raises(DataError, match=r"truncated header \(header text length\) at byte offset 8"):
         read_features(short)
 
-    bad_depth = tmp_path / "bad_depth.bin"
-    bad_depth.write_bytes(raw[:24] + struct.pack("<Q", 10**6) + raw[32:])
-    with pytest.raises(DataError, match="implausible depth 1000000 at byte offset 24"):
-        read_features(bad_depth)
+    version_1 = tmp_path / "v1.bin"
+    version_1.write_bytes(b"IWSNFV01" + struct.pack("<6Q", 8, 8, 1, 1, 0b10, 16) + bytes(64))
+    with pytest.raises(DataError, match="bad magic b'IWSNFV01', expected b'IWSNFV02'"):
+        read_features(version_1)
 
-    bad_basis = tmp_path / "bad_basis.bin"
-    bad_basis.write_bytes(raw[:32] + struct.pack("<Q", 99) + raw[40:])
-    with pytest.raises(DataError, match="unknown basis id 99 at byte offset 32"):
-        read_features(bad_basis)
+    at = FEATURE_TEXT_OFFSET + len(TINY_TEXT)  # the vector length's offset
+    for size in (len(raw) - 16 + 1, 2**64 - 1):
+        long_text = tmp_path / "long_text.bin"
+        long_text.write_bytes(raw[:8] + struct.pack("<Q", size) + raw[16:])
+        with pytest.raises(DataError, match=f"header text length {size} runs past the "
+                                            f"{len(raw)}-byte file at byte offset 8"):
+            read_features(long_text)
 
-    bad_mask = tmp_path / "bad_mask.bin"
-    bad_mask.write_bytes(raw[:40] + struct.pack("<Q", 1 << 30) + raw[48:])
-    with pytest.raises(DataError, match="bitmask.*beyond the 3 planes"):
-        read_features(bad_mask)
+    no_veclen = tmp_path / "no_veclen.bin"
+    no_veclen.write_bytes(raw[:at + 4])
+    with pytest.raises(DataError, match=f"truncated header \\(vector length\\) at byte offset {at}"):
+        read_features(no_veclen)
 
     zero_len = tmp_path / "zero_len.bin"
-    zero_len.write_bytes(raw[:48] + struct.pack("<Q", 0))
-    with pytest.raises(DataError, match="zero vector length at byte offset 48"):
+    zero_len.write_bytes(raw[:at] + struct.pack("<Q", 0))
+    with pytest.raises(DataError, match=f"zero vector length at byte offset {at}"):
         read_features(zero_len)
 
     ragged = tmp_path / "ragged.bin"
@@ -403,17 +427,17 @@ def test_read_features_error_offsets(tmp_path):
 ])
 def test_read_features_rejects_oversized_vector_length(tmp_path, records, veclen):
     path = tmp_path / "f.bin"
-    write_features(path, [np.zeros(16)] * records, 8, 8, TINY)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:48] + struct.pack("<Q", veclen) + raw[56:])
-    with pytest.raises(DataError, match=f"vector length {veclen} does not fit .* byte offset 48"):
+    write_features(path, [np.zeros(16)] * records, TINY_TEXT, 16)
+    raw, at = path.read_bytes(), FEATURE_TEXT_OFFSET + len(TINY_TEXT)
+    path.write_bytes(raw[:at] + struct.pack("<Q", veclen) + raw[at + 8:])
+    with pytest.raises(DataError, match=f"vector length {veclen} does not fit .* byte offset {at}$"):
         read_features(path)
 
 
 def test_read_features_peaks_near_one_copy_of_the_file(tmp_path):
     # 64 records of 16384 floats: the records are a view of the file's bytes
     path = tmp_path / "big.feat"
-    write_features(path, np.ones((64, 16384)), 256, 256, TINY)
+    write_features(path, np.ones((64, 16384)), TINY_TEXT, 16384)
     assert _traced_peak(read_features, path) < 1.2 * path.stat().st_size
 
 
@@ -694,7 +718,7 @@ STREAM_RAW = _model_file((16, 3, 2), _params(
 
 def _stream_inputs(root):
     feat, manifest = root / "stream.feat", root / "stream.tsv"
-    write_features(feat, np.random.default_rng(5).normal(size=(3, 16)), 8, 8, TINY)
+    write_features(feat, np.random.default_rng(5).normal(size=(3, 16)), TINY_TEXT, 16)
     manifest.write_text("x.ppm\ta\ny.ppm\tb\nz.ppm\ta\n")
     return feat, manifest
 
@@ -739,7 +763,7 @@ def test_eval_mutated_models_raise_load_model_or_fit_errors(tmp_path_factory, da
     except DataError as exc:
         held, want = None, str(exc)
     misfit = re.compile(re.escape(str(path)) + r": model (expects \d+ inputs, config implies 16"
-                        r"|has \d+ outputs, config names 2 classes)")
+                        r"|has \d+ outputs, config names 2 classes) at byte offset \d+")
     try:
         report = run_eval(STREAM_CFG, feat, manifest, path)
     except DataError as exc:
@@ -876,8 +900,10 @@ def test_text_lines_split_as_text_mode_files_do(tmp_path):
 # traceback (load_model's fuzz sits with the model files above)
 
 
-FEATURES_RAW = (FEATURE_MAGIC + struct.pack("<6Q", 8, 8, 1, 1, 0b010, 16)
-                + np.arange(32, dtype="<f4").tobytes())
+# TINY's header text, with two 16-float records: a flip can land in the text's
+# length, the text or the vector length
+FEATURES_RAW = (FEATURE_MAGIC + struct.pack("<Q", len(TINY_TEXT)) + TINY_TEXT
+                + struct.pack("<Q", 16) + np.arange(32, dtype="<f4").tobytes())
 PNM_RAWS = (b"P6\n3 2\n255\n" + bytes(range(0, 180, 10)),
             b"P5\n# gray\n4 2\n200\n" + bytes(range(0, 200, 25)))
 MANIFEST_RAW = "imgs/a.ppm\tnest\n/abs/b.ppm\tkite\n\nc.ppm\tplastic\n".encode()

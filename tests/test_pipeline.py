@@ -371,17 +371,39 @@ def test_train_needs_two_classes(tmp_path):
 
 
 def test_header_consistency_checks(dataset, features, tmp_path):
+    # the header text starts at byte 16: width = 64\n (11 bytes), height = 64\n (12), ...
     wrong_dims = PipelineConfig(width=96, height=64)
-    with pytest.raises(DataError, match="extracted from 64x64 images"):
+    with pytest.raises(DataError, match="extracted with b'width = 64', config has "
+                                        "b'width = 96' at byte offset 16$"):
         run_train(wrong_dims, QUICK, features, dataset, tmp_path / "m.bin")
+    wrong_channel = PipelineConfig(width=64, height=64, channel="R")
+    with pytest.raises(DataError, match="extracted with b'channel = B', config has "
+                                        "b'channel = R' at byte offset 39$"):
+        run_eval(wrong_channel, features, dataset, tmp_path / "absent.bin")
     wrong_sel = PipelineConfig(width=64, height=64,
                                scatter=ScatterConfig(selection=("S0", "U1", "U2")))
-    with pytest.raises(DataError, match="features select"):
+    with pytest.raises(DataError, match="b'selection = U1,U2,U3', config has "
+                                        "b'selection = S0,U1,U2'"):
         run_train(wrong_sel, QUICK, features, dataset, tmp_path / "m.bin")
     wrong_bases = PipelineConfig(width=64, height=64, scatter=ScatterConfig(
         level_bases=("bior1.1", "bior1.1", "bior1.1")))
-    with pytest.raises(DataError, match="features use bases"):
+    with pytest.raises(DataError, match="b'bases = bior1.1,bior2.2,bior1.3', config has "
+                                        "b'bases = bior1.1,bior1.1,bior1.1'"):
         run_train(wrong_bases, QUICK, features, dataset, tmp_path / "m.bin")
+    others = {"boundary": "periodic", "decimate": 3, "variant": "classic",
+              "smooth_with": "last", "smooth_decimate": False}
+    for key, val in others.items():
+        cfg = replace(CFG64, scatter=replace(CFG64.scatter, **{key: val}))
+        with pytest.raises(DataError, match=f"extracted with b'{key} = "):
+            run_train(cfg, QUICK, features, dataset, tmp_path / "m.bin")
+    # one header text, another vector length: the length is checked after the text
+    vecs, header = read_features(features)
+    tampered = tmp_path / "tampered.feat"
+    formats.write_features(tampered, vecs[:, :-1], header["config"], header["veclen"] - 1)
+    at = formats.FEATURE_TEXT_OFFSET + len(header["config"])
+    with pytest.raises(DataError, match=f"vector length 1343, config implies 1344 "
+                                        f"at byte offset {at}$"):
+        run_train(CFG64, QUICK, tampered, dataset, tmp_path / "m.bin")
 
 
 def test_eval_full_set(dataset, features, trained):
@@ -401,8 +423,10 @@ def test_eval_rejects_class_count_mismatch(dataset, features, trained, tmp_path)
     manifest.write_text("".join(f"{r.path}\t{r.label}\n" for r in records))
     feat = tmp_path / "two.feat"
     run_extract(two, manifest, feat)
-    with pytest.raises(DataError, match="model has 5 outputs, config names 2"):
+    with pytest.raises(DataError, match="model has 5 outputs, config names 2") as exc:
         run_eval(two, feat, manifest, path)
+    # the dims are u64s from byte 17, and the class count is the last
+    assert str(exc.value).endswith(f"classes at byte offset {17 + 8 * (len(HIDDEN) + 1)}")
 
 
 def test_infer_returns_probabilities(dataset, trained):
@@ -553,8 +577,9 @@ def test_model_input_length_must_fit_config(dataset, features, tmp_path, run):
     calls = {"eval": lambda: run_eval(CFG64, features, dataset, path),
              "infer": lambda: run_infer(CFG64, path, image),
              "bench": lambda: run_bench(CFG64, path, image, frames=1)}
-    with pytest.raises(DataError, match="model expects 100 inputs, config implies 1344"):
+    with pytest.raises(DataError, match="model expects 100 inputs, config implies 1344") as exc:
         calls[run]()
+    assert str(exc.value).endswith("1344 at byte offset 17")  # the first dim
 
 
 def test_bench_guards(dataset, trained, tmp_path):

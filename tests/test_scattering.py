@@ -1,6 +1,7 @@
 """Decimating convolution and both scattering cascades against brute oracles."""
 
 import contextlib
+import inspect
 import os
 import subprocess
 import sys
@@ -189,13 +190,13 @@ def _conv_cases(draw):
 
 
 @contextlib.contextmanager
-def _gemm_on_small_planes():
-    """Patch the engine rule's plane-size threshold to 0, so that every pass
-    of 3 or more taps runs as a GEMM; plans built under the patch are
-    dropped when it ends."""
+def _replanned(**constants):
+    """Patch scattering's plan constants (_BLOCK, GEMM_MIN_*), which a plan
+    reads when it is built; the plan cache is cleared on both sides of the
+    patch, so plans built under it are dropped when it ends."""
     scattering._pass_plan.cache_clear()
     try:
-        with mock.patch.object(scattering, "GEMM_MIN_PIXELS", 0):
+        with mock.patch.multiple(scattering, **constants):
             yield
     finally:
         scattering._pass_plan.cache_clear()
@@ -216,8 +217,8 @@ def test_conv_matches_brute_property(case, gemm_on_small_planes):
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
-    engine = _gemm_on_small_planes() if gemm_on_small_planes else contextlib.nullcontext()
-    with mock.patch.object(scattering, "_BLOCK", block), engine:
+    small = 0 if gemm_on_small_planes else scattering.GEMM_MIN_PIXELS
+    with _replanned(_BLOCK=block, GEMM_MIN_PIXELS=small):
         got = conv2_decimated(x, kern, boundary, s)
     want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
     assert got.shape == want.shape
@@ -250,7 +251,7 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
-    with mock.patch.object(scattering, "_BLOCK", block):
+    with _replanned(_BLOCK=block):
         got = conv2_decimated(x, kern, boundary, s)
     k = len(kern.factor)
     if scattering._runs_as_gemm(k, x.shape) or scattering._runs_as_gemm(k, (h, -(-w // s))):
@@ -315,7 +316,7 @@ def test_gemm_passes_are_shift_equivariant(case):
     passes as GEMMs; a plane of one column would take the tap loop."""
     kern, s, x, (dy, dx) = case
     (h, w), k = x.shape, len(kern.factor)
-    with _gemm_on_small_planes():
+    with _replanned(GEMM_MIN_PIXELS=0):
         assert scattering._runs_as_gemm(k, (h, w)) and scattering._runs_as_gemm(k, (h, w // s))
         base = conv2_decimated(x, kern, "periodic", s)
         moved = conv2_decimated(np.roll(x, (dy, dx), axis=(0, 1)), kern, "periodic", s)
@@ -363,9 +364,9 @@ def test_one_plan_per_kernel_shape_and_stride():
     x = np.random.default_rng(8).standard_normal((20, 30))
     plans = set()
     for s in (1, 2, 3):
-        plan = scattering._pass_plan(kern, x.shape, "symmetric", s, 1, 1 << 15)
+        plan = scattering._pass_plan(kern, x.shape, "symmetric", s, 1)
         assert plan is scattering._pass_plan(make_kernel2d(pair, SCALE, unit_dc=True), x.shape,
-                                             "symmetric", s, 1, 1 << 15)
+                                             "symmetric", s, 1)
         plans.add(plan)
         want = _unblocked_pass(x, kern.factor, kern.origin, "symmetric", s, axis=1)
         assert oracles.rel_err(plan(x), want) <= 1e-12  # the GEMM row pass
@@ -392,27 +393,24 @@ def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
         got = conv2_decimated(x, kern, "periodic", 2)
         want = oracles.brute_conv2(x, kern.taps, kern.origin, "periodic", 2)
         assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
-        plans.add(scattering._pass_plan(kern, x.shape, "periodic", 2, 1, scattering._BLOCK))
+        plans.add(scattering._pass_plan(kern, x.shape, "periodic", 2, 1))
     assert len(plans) == 3
 
 
 def test_patched_block_changes_the_plan_blocks():
     kern = _kern("bior2.2", SCALE)
     x = np.random.default_rng(5).standard_normal((24, 40))
-    seen, real = [], scattering._pass_plan
+    key = (kern, x.shape, "symmetric", 2, 1)  # the row pass: 24 rows of 20 outputs
 
-    def spy(*key):
-        plan = real(*key)
-        seen.append((key[-1], plan))
-        return plan
+    def blocks(plan):
+        return len(inspect.getclosurevars(plan).nonlocals["blocks"])
 
-    with mock.patch.object(scattering, "_pass_plan", spy):
-        whole = conv2_decimated(x, kern, "symmetric", 2)
-        with mock.patch.object(scattering, "_BLOCK", 20):
-            split = conv2_decimated(x, kern, "symmetric", 2)
-    # rows pass then columns pass, each planned again for the patched block
-    assert [block for block, _ in seen] == [1 << 15, 1 << 15, 20, 20]
-    assert len({plan for _, plan in seen}) == 4
+    with _replanned(_BLOCK=1 << 15):  # all 480 outputs in one block
+        whole, plan = conv2_decimated(x, kern, "symmetric", 2), scattering._pass_plan(*key)
+    with _replanned(_BLOCK=20):  # one row of outputs per block
+        split, blocked = conv2_decimated(x, kern, "symmetric", 2), scattering._pass_plan(*key)
+    assert (blocks(plan), blocks(blocked)) == (1, 24)
+    assert scattering._pass_plan(*key) is not blocked  # dropped when the patch ends
     assert whole.tobytes() == split.tobytes()
 
 
@@ -421,7 +419,7 @@ def test_pass_plan_cache_is_bounded():
     limit = scattering._pass_plan.cache_info().maxsize
     assert limit is not None
     for n in range(1, limit + 20):
-        scattering._pass_plan(kern, (n, 8), "periodic", 1, 0, 1 << 15)
+        scattering._pass_plan(kern, (n, 8), "periodic", 1, 0)
     assert scattering._pass_plan.cache_info().currsize <= limit
     assert selection_names.cache_info().maxsize is not None
 
