@@ -11,10 +11,10 @@ Model file (magic IWSNML01): version byte 0x02, the number of dims as u64,
 the dims as u64 each, then layer 0's weights as float32 little-endian, one
 output unit's weights after another (W0.T row-major), then its bias vector
 and every later layer's weight matrix (row-major) and bias vector as float64
-little-endian; the init seed is not kept.  Layer 0 is stored as inference runs
-it: load_model reads it as a column-major float32 W0, which numpy hands to BLAS
-with a transpose flag and no copy, so x @ W0 runs BLAS's dot-product GEMV
-kernel (README: File formats).  save_model rounds a float64 W0 as it writes.
+little-endian.  Layer 0 is stored as inference runs it: load_model reads it as
+a column-major float32 W0, which numpy hands to BLAS with a transpose flag and
+no copy, so x @ W0 runs BLAS's dot-product GEMV kernel (README: File formats).
+save_model rounds a float64 W0 as it writes.
 
 Manifest: one `path<TAB>label` record per line, UTF-8; relative paths are
 resolved against the manifest's directory.
@@ -36,6 +36,7 @@ FEATURE_MAGIC = b"IWSNFV02"
 FEATURE_TEXT_OFFSET = len(FEATURE_MAGIC) + 8  # the header text follows the magic and its length
 MODEL_MAGIC = b"IWSNML01"
 MODEL_VERSION = 2
+MODEL_DIMS_OFFSET = len(MODEL_MAGIC) + 1 + 8  # the dims follow the magic, version and dim count
 BLOCK_COLUMNS = 4  # output units per block of apply_first_layer's streamed layer 0
 
 
@@ -91,6 +92,12 @@ def read_features(path):
             f"{path}: data size {body} is not a whole number of "
             f"{veclen}-float records at byte offset {pos}")
     vecs = np.frombuffer(data, dtype="<f4", offset=pos).reshape(-1, veclen)
+    # float32 values cannot overflow a float64 sum: a row's sum is finite iff the row is
+    bad = ~np.isfinite(vecs.sum(axis=1, dtype=np.float64))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(f"{path}: non-finite value in record {i} "
+                        f"at byte offset {pos + 4 * veclen * i}")
     return vecs, {"config": text, "veclen": veclen}
 
 
@@ -111,26 +118,26 @@ def save_model(model: MlpModel, path):
             fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
-def _read_model_header(fh, path):
+def read_model_header(fh, path):
     """(dims, each layer's byte offset), every size checked before any allocation."""
     size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: no layer fits
-    head = fh.read(17)
+    head = fh.read(MODEL_DIMS_OFFSET)
     if head[:8] != MODEL_MAGIC:
         raise DataError(f"{path}: bad magic {head[:8]!r}, expected {MODEL_MAGIC!r} at byte offset 0")
     if len(head) < 9:
         raise DataError(f"{path}: truncated before version byte at byte offset 8")
     if head[8] != MODEL_VERSION:
         raise DataError(f"{path}: unsupported version {head[8]} at byte offset 8")
-    if len(head) < 17:
+    if len(head) < MODEL_DIMS_OFFSET:
         raise DataError(f"{path}: truncated dim count at byte offset 9")
     ndims = struct.unpack_from("<Q", head, 9)[0]
     if not 2 <= ndims <= 64:
         raise DataError(f"{path}: implausible dim count {ndims} at byte offset 9")
     raw = fh.read(8 * ndims)
     if len(raw) < 8 * ndims:
-        raise DataError(f"{path}: truncated dims at byte offset 17")
+        raise DataError(f"{path}: truncated dims at byte offset {MODEL_DIMS_OFFSET}")
     dims = struct.unpack(f"<{ndims}Q", raw)
-    pos = 17 + 8 * ndims
+    pos = MODEL_DIMS_OFFSET + 8 * ndims
     offsets = []
     for j in range(ndims - 1):
         offsets.append(pos)
@@ -140,7 +147,7 @@ def _read_model_header(fh, path):
     if pos != size:
         raise DataError(f"{path}: {size - pos} trailing bytes at byte offset {pos}")
     if 0 in dims:  # never written; (2**62, 0) passes every size check but cannot be shaped
-        raise DataError(f"{path}: zero dim at byte offset {17 + 8 * dims.index(0)}")
+        raise DataError(f"{path}: zero dim at byte offset {MODEL_DIMS_OFFSET + 8 * dims.index(0)}")
     return dims, offsets
 
 
@@ -163,10 +170,10 @@ def load_model(path) -> MlpModel:
     """The inference loader: layer 0 is read as stored, a column-major float32 matrix;
     the rest is float64."""
     with open(path, "rb") as fh:
-        dims, offsets = _read_model_header(fh, path)
+        dims, offsets = read_model_header(fh, path)
         w0 = _fill(fh, path, 0, offsets, np.empty(dims[1::-1], "<f4")).T  # (n, m)
         b0, weights, biases = _read_rest(fh, path, dims, offsets)
-    return MlpModel(dims, [w0, *weights], [b0, *biases], seed=None)
+    return MlpModel(dims, [w0, *weights], [b0, *biases])
 
 
 def apply_first_layer(path, x):
@@ -176,7 +183,7 @@ def apply_first_layer(path, x):
     of z.  Returns (ReLU(z + b0), the other layers as an MlpModel), or (z + b0, None)
     for one layer; errors are load_model's.  The caller checks that the dims fit."""
     with open(path, "rb") as fh:
-        dims, offsets = _read_model_header(fh, path)
+        dims, offsets = read_model_header(fh, path)
         n, m = dims[:2]
         x32 = x.astype(np.float32, copy=False)
         buf = np.empty((min(m, BLOCK_COLUMNS), n), "<f4")

@@ -26,14 +26,12 @@ HIDDEN = (64, 16)
 @dataclass(eq=False)
 class MlpModel:
     """Layer dims [input_len, h1, ..., classes], weight matrices (in, out),
-    bias vectors, the init seed (None for loaded models), and the model
-    file's index of the first layer, which error messages name (1 for the
-    layers after a streamed layer 0)."""
+    bias vectors, and the model file's index of the first layer, which error
+    messages name (1 for the layers after a streamed layer 0)."""
 
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    seed: int | None = None
     first_layer: int = 0
 
     def __post_init__(self):
@@ -84,7 +82,7 @@ def init_model(dims, seed: int = 0) -> MlpModel:
         a = np.sqrt(6.0 / (dims[j] + dims[j + 1]))
         weights.append(rng.uniform(-a, a, size=(dims[j], dims[j + 1])))
         biases.append(np.zeros(dims[j + 1]))
-    return MlpModel(dims, weights, biases, seed=seed)
+    return MlpModel(dims, weights, biases)
 
 
 def check_finite(j: int, *arrays):  # j is the layer's index in the model file
@@ -221,22 +219,22 @@ def predict(model: MlpModel, features) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
-def split_train_test(labels, ratio: float = 0.8, seed: int = 0):
-    """Per-class shuffled split; floor(ratio*n) of each class goes to train."""
+def split_train_test(labels, seed: int = 0):
+    """Per-class shuffled split; floor(0.8*n) of each class goes to train."""
     y = np.asarray(labels)
     rng = np.random.default_rng([seed, 0])
     train_idx, test_idx = [], []
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         idx = idx[rng.permutation(len(idx))]
-        cut = int(ratio * len(idx))
+        cut = int(0.8 * len(idx))
         train_idx.extend(idx[:cut])
         test_idx.extend(idx[cut:])
     return np.sort(np.array(train_idx, dtype=np.int64)), np.sort(np.array(test_idx, dtype=np.int64))
 
 
 def models_equal(a: MlpModel, b: MlpModel) -> bool:
-    """Bitwise parameter equality; the seed field is metadata and ignored."""
+    """Bitwise parameter equality."""
     return (a.dims == b.dims
             and all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
             and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases)))

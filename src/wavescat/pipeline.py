@@ -19,8 +19,8 @@ import numpy as np
 
 from . import synth
 from .errors import DataError, UndefinedMetricError
-from .formats import (FEATURE_TEXT_OFFSET, _read_model_header, apply_first_layer, load_model,
-                      read_features, read_manifest, save_model, write_features)
+from .formats import (FEATURE_TEXT_OFFSET, MODEL_DIMS_OFFSET, apply_first_layer, load_model,
+                      read_features, read_manifest, read_model_header, save_model, write_features)
 from .metrics import (ConfusionMatrix, acc, binary_tally, confusion_from_predictions,
                       multiclass_accuracy, ppv, tpr)
 from .mlp import (HIDDEN, TrainConfig, init_model, mlp_forward, predict, softmax,
@@ -76,7 +76,6 @@ CONFIG_KEYS = {
     "channel": ("pipeline", "channel", str),
     "classes": ("pipeline", "classes", _to_names),
     "threads": ("pipeline", "threads", int),
-    "depth": ("scatter", "depth", int),
     "bases": ("scatter", "level_bases", _to_names),
     "boundary": ("scatter", "boundary", str),
     "decimate": ("scatter", "decimate", int),
@@ -261,7 +260,7 @@ def run_train(config: PipelineConfig, train_cfg: TrainConfig, features_path,
     vecs, labels = _load_aligned(config, features_path, manifest_path)
     if len(np.unique(labels)) < 2:
         raise DataError("training needs at least 2 classes present in the manifest")
-    train_idx, test_idx = split_train_test(labels, ratio=0.8, seed=train_cfg.seed)
+    train_idx, test_idx = split_train_test(labels, seed=train_cfg.seed)
     model = init_model((vecs.shape[1], *HIDDEN, len(config.classes)), seed=train_cfg.seed)
     model, history = train(model, vecs[train_idx], labels[train_idx], train_cfg)
     save_model(model, model_path)
@@ -285,13 +284,14 @@ def _check_model_fits(config: PipelineConfig, model_path):
     """A model's dims, read from its header, must fit the config."""
     expect = feature_length(config.width, config.height, config.scatter)
     with open(model_path, "rb") as fh:
-        dims = _read_model_header(fh, model_path)[0]
-    if dims[0] != expect:  # the dims start at byte 17, one u64 each
+        dims = read_model_header(fh, model_path)[0]
+    if dims[0] != expect:  # one u64 per dim
         raise DataError(f"{model_path}: model expects {dims[0]} inputs, config implies {expect} "
-                        f"at byte offset 17")
+                        f"at byte offset {MODEL_DIMS_OFFSET}")
     if dims[-1] != len(config.classes):
         raise DataError(f"{model_path}: model has {dims[-1]} outputs, config names "
-                        f"{len(config.classes)} classes at byte offset {17 + 8 * (len(dims) - 1)}")
+                        f"{len(config.classes)} classes at byte offset "
+                        f"{MODEL_DIMS_OFFSET + 8 * (len(dims) - 1)}")
 
 
 def run_eval(config: PipelineConfig, features_path, manifest_path, model_path) -> EvalReport:

@@ -36,14 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .filters import (
-    BASES,  # re-exported for callers that import it from here
-    SCALE,
-    WAVELET_DIAGONAL,
-    Kernel2D,
-    make_filter_pair,
-    make_kernel2d,
-)
+from .filters import SCALE, WAVELET_DIAGONAL, Kernel2D, make_filter_pair, make_kernel2d
 
 BOUNDARIES = ("symmetric", "periodic")
 VARIANTS = ("classic", "improved")
@@ -73,10 +66,10 @@ def selection_names(depth: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ScatterConfig:
-    """Cascade shape: depth, per-level bases, boundary, decimation, variant,
-    and which output planes feed the feature vector."""
+    """Cascade shape: one basis per level (their count is the depth),
+    boundary, decimation, variant, and which output planes feed the feature
+    vector."""
 
-    depth: int = 3
     level_bases: tuple[str, ...] = ("bior1.1", "bior2.2", "bior1.3")
     boundary: str = "symmetric"
     decimate: int = 2
@@ -88,13 +81,8 @@ class ScatterConfig:
     def __post_init__(self):
         object.__setattr__(self, "level_bases", tuple(self.level_bases))
         object.__setattr__(self, "selection", tuple(self.selection))
-        if self.depth < 1:
-            raise DataError(f"depth must be >= 1, got {self.depth}")
-        if len(self.level_bases) != self.depth:
-            raise DataError(
-                f"need one basis per level: depth {self.depth}, got {len(self.level_bases)} bases")
-        if self.depth > MAX_DEPTH:
-            raise DataError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise DataError(f"need 1 to {MAX_DEPTH} bases, one per level, got {self.depth}")
         for b in self.level_bases:
             make_filter_pair(b)  # rejects an unknown basis
         _checked_stride(self.boundary, self.decimate)  # checks the boundary mode too
@@ -105,6 +93,11 @@ class ScatterConfig:
         valid = _check_selection(self.selection, self.depth)
         # declared order, once each: the order feature files store it in
         object.__setattr__(self, "selection", tuple(n for n in valid if n in self.selection))
+
+    @property
+    def depth(self) -> int:
+        """The number of levels: one per basis."""
+        return len(self.level_bases)
 
 
 def _check_selection(selection, depth: int) -> tuple[str, ...]:

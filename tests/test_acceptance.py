@@ -14,6 +14,7 @@ import oracles
 from test_mlp import gradcheck_worst_rel, sample_kink_free_pair
 
 from wavescat import pipeline, synth
+from wavescat.filters import BASES
 from wavescat.flops import (NetworkSpec, fc_flops, network_flops, parse_layers,
                             pipeline_flops, relu_flops)
 from wavescat.formats import read_manifest, save_model
@@ -22,7 +23,7 @@ from wavescat.metrics import (binary_tally, confusion_from_predictions, efficien
 from wavescat.mlp import TrainConfig, init_model
 from wavescat.pipeline import HIDDEN, PipelineConfig, run_bench, run_eval, run_extract, run_train
 from wavescat.ppm import write_ppm
-from wavescat.scattering import BASES, ScatterConfig, scatter
+from wavescat.scattering import ScatterConfig, scatter
 from wavescat.synth import CLASSES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,7 +103,7 @@ def test_criterion_04_cascades_match_brute_force():
         seen.update(bases)
         images += 1
         for variant in ("classic", "improved"):
-            cfg = ScatterConfig(depth=depth, level_bases=bases, boundary=boundary,
+            cfg = ScatterConfig(level_bases=bases, boundary=boundary,
                                 variant=variant, smooth_with=smooth_with,
                                 selection=("U1",))
             out = scatter(x, cfg)
@@ -129,7 +130,7 @@ def test_criterion_05_order_one_variants_agree():
         x = rng.random((h, w))
         outs = []
         for variant in ("classic", "improved"):
-            cfg = ScatterConfig(depth=1, level_bases=(basis,), boundary=boundary,
+            cfg = ScatterConfig(level_bases=(basis,), boundary=boundary,
                                 variant=variant, selection=("U1",))
             out = scatter(x, cfg)
             outs.append([out.s0, out.u_levels[0], out.s_levels[0]])
@@ -145,7 +146,7 @@ def test_criterion_06_dyadic_shift_equivariance():
     # undecimated smoothing keeps every level-m plane on the 2^m grid, so a
     # 2^m-pixel circular input shift must move U_m and S_m by exactly 1 pixel
     rng = np.random.default_rng(66)
-    cfg = ScatterConfig(depth=3, level_bases=("bior1.1",) * 3, boundary="periodic",
+    cfg = ScatterConfig(level_bases=("bior1.1",) * 3, boundary="periodic",
                         smooth_decimate=False, selection=("U1",))
     cases, ok = 0, True
     for _ in range(18):

@@ -9,7 +9,7 @@ import pytest
 
 from wavescat import pipeline
 from wavescat.cli import main
-from wavescat.formats import save_model
+from wavescat.formats import FEATURE_TEXT_OFFSET, read_features, save_model, write_features
 from wavescat.mlp import init_model
 from wavescat.pipeline import HIDDEN
 from wavescat.flops import pipeline_flops
@@ -304,8 +304,8 @@ def test_numeric_error_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("settings, message", [
-    ("depth = 32\nbases = " + ",".join(["bior1.1"] * 32) + "\nselection = S32\n",
-     "depth must be <= 31, got 32"),
+    ("bases = " + ",".join(["bior1.1"] * 32) + "\nselection = S32\n",
+     "need 1 to 31 bases, one per level, got 32"),
     ("selection =\n", "empty selection"),
 ], ids=["depth32", "empty-selection"])
 def test_unstorable_config_exit_2(ws, tmp_path, capsys, settings, message):
@@ -404,22 +404,60 @@ def test_version_1_model_exit_2(ws, tmp_path, capsys, command):
     assert err.startswith("data error:") and "unsupported version 1 at byte offset 8" in err
 
 
+def _rewrite_features(ws, path, edit_text=lambda text: text, edit_rows=lambda rows: None):
+    """ws's feature file under an edited header text and with edited records."""
+    vecs, header = read_features(ws["feat"])
+    rows = vecs.copy()
+    edit_rows(rows)
+    write_features(path, rows, edit_text(header["config"]), header["veclen"])
+    return header
+
+
+def _train_and_eval_exit_2(ws, tmp_path, feat, capsys):
+    """The stderr of train and eval on `feat`; both must exit 2 and write no model."""
+    common = ["--manifest", str(ws["manifest"]), "--features", str(feat), "--config", str(SYNTH64)]
+    errs = []
+    for argv in (["train", *common, "--out", str(tmp_path / "m.bin")],
+                 ["eval", *common, "--model", str(ws["model"])]):
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+        assert errs[-1].startswith("data error:")
+    assert not (tmp_path / "m.bin").exists()
+    return errs
+
+
 def test_features_of_another_config_exit_2(ws, tmp_path, capsys):
     # same dims and feature length as synth64.cfg, other channel, variant and boundary
     cfg = tmp_path / "other.cfg"
     cfg.write_text(ws["cfg"].read_text() + "channel = R\nvariant = classic\nboundary = periodic\n")
     feat = tmp_path / "other.feat"
-    common = ["--manifest", str(ws["manifest"]), "--features", str(feat)]
     assert main(["extract", "--manifest", str(ws["manifest"]), "--out", str(feat),
                  "--config", str(cfg)]) == 0
     capsys.readouterr()
-    for argv in (["train", *common, "--out", str(tmp_path / "m.bin")],
-                 ["eval", *common, "--model", str(ws["model"])]):
-        assert main([*argv, "--config", str(SYNTH64)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:")
+    for err in _train_and_eval_exit_2(ws, tmp_path, feat, capsys):
         assert "extracted with b'channel = R', config has b'channel = B' at byte offset 39" in err
-    assert not (tmp_path / "m.bin").exists()
+
+
+def test_feature_header_with_a_depth_line_exit_2(ws, tmp_path, capsys):
+    # headers once held `depth = 3` before the bases; the depth is now their count
+    feat = tmp_path / "depth.feat"
+    header = _rewrite_features(ws, feat, lambda text: text.replace(b"bases", b"depth = 3\nbases"))
+    at = FEATURE_TEXT_OFFSET + header["config"].index(b"bases")
+    for err in _train_and_eval_exit_2(ws, tmp_path, feat, capsys):
+        assert (f"extracted with b'depth = 3', config has b'bases = bior1.1,bior2.2,bior1.3' "
+                f"at byte offset {at}") in err
+
+
+def test_non_finite_feature_records_exit_2(ws, tmp_path, capsys):
+    feat = tmp_path / "nan.feat"
+
+    def spoil(rows):
+        rows[4, 7], rows[9, 0] = np.nan, np.inf
+
+    header = _rewrite_features(ws, feat, edit_rows=spoil)
+    at = FEATURE_TEXT_OFFSET + len(header["config"]) + 8 + 4 * 4 * header["veclen"]
+    for err in _train_and_eval_exit_2(ws, tmp_path, feat, capsys):
+        assert f"non-finite value in record 4 at byte offset {at}" in err
 
 
 def test_version_1_feature_file_exit_2(ws, tmp_path, capsys):

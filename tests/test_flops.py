@@ -291,7 +291,7 @@ def test_pipeline_flops_tiny_hand_check():
     # 8x8 input, depth 1, bior1.1, improved, selection U1:
     #   S0 = x*phi: 4x4 conv2d with K=2 -> 4*4*(4*1+0)*1 = 64 flops,
     #   same for U1's psi;  |.| on U1: 16;  S1 = U1*phi on 2x2: 2*2*4 = 16
-    cfg = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
+    cfg = ScatterConfig(level_bases=("bior1.1",), selection=("U1",))
     report = pipeline_flops(8, 8, cfg, classes=5)
     s0 = oracles.count_conv(4, 4, 2, 1, 1, False)
     u1 = oracles.count_conv(4, 4, 2, 1, 1, False)
@@ -336,7 +336,6 @@ def test_pipeline_report_labels_cover_every_stage():
 def _random_config(rng):
     depth = int(rng.integers(1, 4))
     return ScatterConfig(
-        depth=depth,
         level_bases=tuple(BASES[i] for i in rng.integers(0, len(BASES), size=depth)),
         boundary=("symmetric", "periodic")[int(rng.integers(0, 2))],
         decimate=int(rng.integers(1, 3)),

@@ -44,7 +44,7 @@ from wavescat.ppm import CHANNELS, load_image_channel, write_ppm
 from wavescat.scattering import (BOUNDARIES, SMOOTH_WITH, VARIANTS, ScatterConfig,
                                  feature_length, selection_names)
 
-TINY = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
+TINY = ScatterConfig(level_bases=("bior1.1",), selection=("U1",))
 # the header text of 8x8 files of TINY's 16 features
 TINY_TEXT = feature_config(PipelineConfig(width=8, height=8, scatter=TINY))
 
@@ -268,7 +268,7 @@ def test_write_ppm_validates_shape(tmp_path):
 
 
 def test_feature_header_is_the_config_lines_the_vectors_depend_on():
-    assert TINY_TEXT == (b"width = 8\nheight = 8\nchannel = B\ndepth = 1\nbases = bior1.1\n"
+    assert TINY_TEXT == (b"width = 8\nheight = 8\nchannel = B\nbases = bior1.1\n"
                          b"boundary = symmetric\ndecimate = 2\nvariant = improved\n"
                          b"selection = U1\nsmooth_with = first\nsmooth_decimate = 1\n")
     # classes, threads and the training keys do not change a vector
@@ -278,14 +278,13 @@ def test_feature_header_is_the_config_lines_the_vectors_depend_on():
 
 @st.composite
 def _pipeline_configs(draw):
-    depth = draw(st.integers(1, 3))
+    bases = draw(st.lists(st.sampled_from(BASES), min_size=1, max_size=3))
     scatter = ScatterConfig(
-        depth=depth,
-        level_bases=draw(st.lists(st.sampled_from(BASES), min_size=depth, max_size=depth)),
+        level_bases=bases,
         boundary=draw(st.sampled_from(BOUNDARIES)), decimate=draw(st.integers(1, 5)),
         variant=draw(st.sampled_from(VARIANTS)),
         # any order, repeats too: the config keeps its declared order, once each
-        selection=draw(st.lists(st.sampled_from(selection_names(depth)), min_size=1)),
+        selection=draw(st.lists(st.sampled_from(selection_names(len(bases))), min_size=1)),
         smooth_with=draw(st.sampled_from(SMOOTH_WITH)), smooth_decimate=draw(st.booleans()))
     return PipelineConfig(width=draw(st.integers(1, 5000)), height=draw(st.integers(1, 5000)),
                           channel=draw(st.sampled_from(sorted(CHANNELS))), scatter=scatter)
@@ -305,12 +304,13 @@ def test_feature_header_reads_back_as_a_config_file(tmp_path_factory, config):
 
 def test_feature_file_holds_the_deepest_config(tmp_path):
     deep = PipelineConfig(width=8, height=8, scatter=ScatterConfig(
-        depth=31, level_bases=("bior1.1",) * 31, selection=("S31",)))
+        level_bases=("bior1.1",) * 31, selection=("S31",)))
     path = tmp_path / "deep.bin"
     write_features(path, [np.ones(1)], feature_config(deep), 1)
     vecs, header = read_features(path)
     assert vecs.shape == (1, 1)
-    assert b"\ndepth = 31\n" in header["config"] and b"\nselection = S31\n" in header["config"]
+    assert b"\nbases = " + b",".join([b"bior1.1"] * 31) + b"\n" in header["config"]
+    assert b"\nselection = S31\n" in header["config"]
     text = tmp_path / "deep.cfg"
     text.write_bytes(header["config"])
     assert overlay_configs(parse_config_file(text))[0] == deep
@@ -419,6 +419,20 @@ def test_read_features_error_offsets(tmp_path):
         read_features(ragged)
 
 
+def test_read_features_names_the_first_non_finite_record(tmp_path):
+    path = tmp_path / "f.bin"
+    rows = np.full((4, 16), F32_MAX)  # finite: their float64 row sums do not overflow
+    write_features(path, rows, TINY_TEXT, 16)
+    assert np.array_equal(read_features(path)[0], rows)
+    record_1 = FEATURE_TEXT_OFFSET + len(TINY_TEXT) + 8 + 64
+    for value in (np.nan, np.inf, -np.inf):
+        rows[1, 5], rows[3, 15] = value, np.nan
+        write_features(path, rows, TINY_TEXT, 16)
+        with pytest.raises(DataError, match=f"non-finite value in record 1 at byte offset "
+                                            f"{record_1}$"):
+            read_features(path)
+
+
 # a one-record file must hold a whole record; a zero-record file any length
 # an array can hold (2**61 float32 is one byte past the largest)
 @pytest.mark.parametrize("records, veclen", [
@@ -451,7 +465,7 @@ def test_model_round_trip_bitwise(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     oracles.assert_inference_copy(loaded, model)
-    assert loaded.seed is None and loaded.weights[0].flags.f_contiguous
+    assert loaded.weights[0].flags.f_contiguous
     # the file holds the float32 layer 0 that loads: the loaded head saves back unchanged
     save_model(loaded, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
@@ -522,11 +536,10 @@ def _traced_peak(fn, *args):
 def test_save_model_bytes_do_not_depend_on_order_or_byte_order(tmp_path):
     base = init_model((7, 5, 3), seed=12)
     rng = np.random.default_rng(12)
-    model = MlpModel(base.dims, base.weights, [rng.normal(size=b.shape) for b in base.biases],
-                     seed=None)
+    model = MlpModel(base.dims, base.weights, [rng.normal(size=b.shape) for b in base.biases])
     twin = MlpModel(model.dims,
                     [np.asfortranarray(w).astype(">f8") for w in model.weights],
-                    [b.astype(">f8") for b in model.biases], seed=None)
+                    [b.astype(">f8") for b in model.biases])
     assert twin.weights[0].flags.f_contiguous and not twin.weights[0].flags.c_contiguous
     save_model(model, tmp_path / "c.bin")
     save_model(twin, tmp_path / "f.bin")
@@ -907,7 +920,7 @@ FEATURES_RAW = (FEATURE_MAGIC + struct.pack("<Q", len(TINY_TEXT)) + TINY_TEXT
 PNM_RAWS = (b"P6\n3 2\n255\n" + bytes(range(0, 180, 10)),
             b"P5\n# gray\n4 2\n200\n" + bytes(range(0, 200, 25)))
 MANIFEST_RAW = "imgs/a.ppm\tnest\n/abs/b.ppm\tkite\n\nc.ppm\tplastic\n".encode()
-CONFIG_RAW = ("# run\nwidth = 64\nheight=48\ndepth = 2\nbases = bior1.1,bior2.2\n"
+CONFIG_RAW = ("# run\nwidth = 64\nheight=48\nbases = bior1.1,bior2.2\n"
               "selection = U1,S2 # two planes\nsmooth_decimate = off\n"
               "learning_rate = 0.01\nepochs = 3\n").encode()
 LAYERS_RAW = ("conv2d K=3 C_out=4 P=1 bias=1  # stem\nrelu\nmaxpool K=2 S=2\n"

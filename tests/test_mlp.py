@@ -323,7 +323,7 @@ def test_init_model_glorot_bounds_and_zero_biases():
         a = np.sqrt(6.0 / (dims[j] + dims[j + 1]))
         assert np.abs(w).max() <= a
         assert np.array_equal(b, np.zeros(dims[j + 1]))
-    assert model.dims == dims and model.seed == 13
+    assert model.dims == dims
 
 
 def test_init_model_seed_controls_weights():
@@ -345,17 +345,19 @@ def test_model_validation():
 
 def test_split_train_test_partitions_each_class():
     y = np.array([0] * 10 + [1] * 5 + [2] * 7)
-    tr, te = split_train_test(y, ratio=0.8, seed=3)
+    tr, te = split_train_test(y, seed=3)
     assert np.array_equal(np.sort(np.concatenate([tr, te])), np.arange(len(y)))
     assert len(np.intersect1d(tr, te)) == 0
     for cls, n in ((0, 10), (1, 5), (2, 7)):
         assert (y[tr] == cls).sum() == int(0.8 * n)
-    tr2, te2 = split_train_test(y, ratio=0.8, seed=3)
+    tr2, te2 = split_train_test(y, seed=3)
     assert np.array_equal(tr, tr2) and np.array_equal(te, te2)
     assert np.array_equal(tr, np.sort(tr))
 
 
-def test_models_equal_ignores_seed_field():
+def test_models_equal_compares_parameters_bitwise():
     a = init_model((3, 2), seed=7)
-    b = MlpModel(a.dims, [w.copy() for w in a.weights], [v.copy() for v in a.biases], seed=None)
+    b = MlpModel(a.dims, [w.copy() for w in a.weights], [v.copy() for v in a.biases])
     assert models_equal(a, b)
+    b.biases[0][0] = np.nextafter(0.0, 1.0)
+    assert not models_equal(a, b)

@@ -83,7 +83,7 @@ def test_overlay_configs_routes_keys():
     mapping = {
         "width": "96", "height": "64", "channel": "G", "threads": "2",
         "classes": "cat, dog",
-        "depth": "2", "bases": "bior1.1,bior2.2", "boundary": "periodic",
+        "bases": "bior1.1,bior2.2", "boundary": "periodic",
         "decimate": "3", "variant": "classic", "selection": "S0,U1",
         "smooth_with": "last", "smooth_decimate": "off",
         "learning_rate": "0.5", "momentum": "0", "epochs": "7", "batch_size": "4",
@@ -105,9 +105,25 @@ def test_overlay_configs_rejects_bad_input():
         overlay_configs({"width": "wide"})
     with pytest.raises(DataError, match="expected a boolean"):
         overlay_configs({"smooth_decimate": "maybe"})
+    # a cascade's depth is its number of bases, never a key of its own
+    with pytest.raises(DataError, match="unknown config key 'depth'"):
+        overlay_configs({"depth": "3"})
     # merged result is re-validated by the dataclass
-    with pytest.raises(DataError, match="one basis per level"):
-        overlay_configs({"depth": "2"})
+    with pytest.raises(DataError, match="unknown selection 'U2'"):
+        overlay_configs({"bases": "bior1.1"})
+
+
+# what each committed config file reads as: default720p.cfg is the library
+# defaults made explicit, synth64.cfg the same at 64x64
+COMMITTED_CONFIGS = {"default720p.cfg": PipelineConfig(), "synth64.cfg": CFG64}
+
+
+def test_every_committed_config_loads_as_documented():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert [p.name for p in paths] == sorted(COMMITTED_CONFIGS)
+    for path in paths:
+        loaded = overlay_configs(formats.parse_config_file(path))
+        assert loaded == (COMMITTED_CONFIGS[path.name], TrainConfig()), path.name
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

@@ -42,7 +42,7 @@ def _kern(name, kind):
 
 
 def _cfg(**kw):
-    base = dict(depth=2, level_bases=("bior1.1", "bior2.2"), selection=("U1", "U2"))
+    base = dict(level_bases=("bior1.1", "bior2.2"), selection=("U1", "U2"))
     base.update(kw)
     return ScatterConfig(**base)
 
@@ -471,15 +471,15 @@ def test_threads_extracting_one_plane_at_once_write_the_same_bytes():
 
 
 def test_variants_coincide_at_depth_1():
-    improved = _cfg(depth=1, level_bases=("bior2.2",), selection=("U1",))
-    classic = _cfg(depth=1, level_bases=("bior2.2",), selection=("U1",), variant="classic")
+    improved = _cfg(level_bases=("bior2.2",), selection=("U1",))
+    classic = _cfg(level_bases=("bior2.2",), selection=("U1",), variant="classic")
     assert cascade_steps(improved) == cascade_steps(classic)
     assert [s.out for s in cascade_steps(improved)] == ["S0", "U1", "S1"]
 
 
 def test_inplace_modulus_never_reaches_s0():
     # improved depth >= 2 runs A1 = |S0| as a modulus-only step on the S0 plane
-    cfg = _cfg(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"), selection=("U1",))
+    cfg = _cfg(level_bases=("bior1.1", "bior2.2", "bior1.3"), selection=("U1",))
     x = np.random.default_rng(12).standard_normal((32, 32))
     x.setflags(write=False)
     out = scatter(x, cfg)
@@ -491,7 +491,7 @@ def test_inplace_modulus_never_reaches_s0():
 
 
 def test_classic_zero_image_all_planes_zero():
-    cfg = _cfg(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"),
+    cfg = _cfg(level_bases=("bior1.1", "bior2.2", "bior1.3"),
                variant="classic", selection=("U1", "U2", "U3"))
     out = scatter(np.zeros((32, 32)), cfg)
     for plane in (out.s0, *out.u_levels, *out.s_levels):
@@ -500,7 +500,7 @@ def test_classic_zero_image_all_planes_zero():
 
 @pytest.mark.parametrize("variant", ["classic", "improved"])
 def test_constant_image_kills_u_planes(variant):
-    cfg = _cfg(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"),
+    cfg = _cfg(level_bases=("bior1.1", "bior2.2", "bior1.3"),
                variant=variant, selection=("U1", "U2", "U3"))
     c = 0.375
     out = scatter(np.full((32, 32), c), cfg)
@@ -512,7 +512,7 @@ def test_constant_image_kills_u_planes(variant):
 def test_classic_16x16_depth2_matches_brute():
     rng = np.random.default_rng(11)
     x = rng.random((16, 16))
-    cfg = _cfg(depth=2, level_bases=("bior1.1", "bior1.1"), variant="classic")
+    cfg = _cfg(level_bases=("bior1.1", "bior1.1"), variant="classic")
     out = scatter(x, cfg)
     s0, u, sl = oracles.brute_scatter_classic(x, cfg.level_bases)
     assert oracles.rel_err(out.s0, s0) <= 1e-12
@@ -525,7 +525,7 @@ def test_classic_16x16_depth2_matches_brute():
 def test_improved_16x16_depth3_matches_brute():
     rng = np.random.default_rng(12)
     x = rng.random((16, 16))
-    cfg = ScatterConfig(depth=3, level_bases=("bior1.1", "bior2.2", "bior1.3"),
+    cfg = ScatterConfig(level_bases=("bior1.1", "bior2.2", "bior1.3"),
                         variant="improved", selection=("U1", "U2", "U3"))
     out = scatter(x, cfg)
     s0, u, sl = oracles.brute_scatter_improved(x, cfg.level_bases)
@@ -555,7 +555,7 @@ def _random_case(rng):
             break
     h, w = (int(v) for v in rng.integers(24, 33, size=2))
     x = rng.random((h, w))
-    return x, ScatterConfig(depth=depth, level_bases=bases, boundary=boundary,
+    return x, ScatterConfig(level_bases=bases, boundary=boundary,
                             variant=variant, smooth_with=smooth_with,
                             selection=("U1",))
 
@@ -594,9 +594,9 @@ def test_order1_variants_identical():
     rng = np.random.default_rng(6)
     for name in BASES:
         x = rng.random((18, 14))
-        classic = scatter(x, ScatterConfig(depth=1, level_bases=(name,),
+        classic = scatter(x, ScatterConfig(level_bases=(name,),
                                            variant="classic", selection=("U1",)))
-        improved = scatter(x, ScatterConfig(depth=1, level_bases=(name,),
+        improved = scatter(x, ScatterConfig(level_bases=(name,),
                                             variant="improved", selection=("U1",)))
         assert np.array_equal(classic.s0, improved.s0)
         assert np.array_equal(classic.u_levels[0], improved.u_levels[0])
@@ -619,7 +619,7 @@ def test_u_planes_nonnegative_property():
         depth = int(rng.integers(1, 3))
         bases = tuple(BASES[j] for j in rng.integers(0, 3, size=depth))
         variant = ("classic", "improved")[i % 2]
-        cfg = ScatterConfig(depth=depth, level_bases=bases, variant=variant,
+        cfg = ScatterConfig(level_bases=bases, variant=variant,
                             selection=("U1",))
         x = rng.standard_normal((int(rng.integers(8, 13)), int(rng.integers(8, 13))))
         out = scatter(x, cfg)
@@ -633,7 +633,7 @@ def test_shift_equivariance_periodic_haar():
     rng = np.random.default_rng(9)
     x = rng.random((32, 32))
     for variant in ("classic", "improved"):
-        cfg = ScatterConfig(depth=2, level_bases=("bior1.1", "bior1.1"),
+        cfg = ScatterConfig(level_bases=("bior1.1", "bior1.1"),
                             boundary="periodic", variant=variant, selection=("U1", "U2"))
         base = scatter(x, cfg)
         for axis in (0, 1):
@@ -662,7 +662,7 @@ def test_determinism_bitwise():
 
 def test_feature_vector_single_plane_row_major():
     x = np.random.default_rng(13).random((8, 8))
-    cfg = ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",))
+    cfg = ScatterConfig(level_bases=("bior1.1",), selection=("U1",))
     out = scatter(x, cfg)
     vec = feature_vector(out, cfg.selection)
     assert out.u_levels[0].shape == (4, 4)
@@ -683,7 +683,7 @@ def test_feature_vector_follows_declared_order():
 
 def test_feature_vector_rejects_bad_selection():
     x = np.random.default_rng(15).random((8, 8))
-    out = scatter(x, ScatterConfig(depth=1, level_bases=("bior1.1",), selection=("U1",)))
+    out = scatter(x, ScatterConfig(level_bases=("bior1.1",), selection=("U1",)))
     with pytest.raises(DataError, match="empty selection"):
         feature_vector(out, selection=())
     with pytest.raises(DataError, match="U9"):
@@ -708,7 +708,7 @@ def test_plane_dims_match_actual_shapes():
     for h, w in [(17, 9), (16, 16), (25, 31)]:
         x = rng.random((h, w))
         for variant in ("classic", "improved"):
-            cfg = ScatterConfig(depth=2, level_bases=("bior1.1", "bior2.2"),
+            cfg = ScatterConfig(level_bases=("bior1.1", "bior2.2"),
                                 variant=variant, selection=("U1", "U2"))
             out = scatter(x, cfg)
             dims = plane_dims(w, h, cfg)
@@ -727,19 +727,18 @@ def _outcome(call):
     return None
 
 
-_small_configs = st.integers(1, 3).flatmap(lambda depth: st.builds(
-    ScatterConfig, depth=st.just(depth),
-    level_bases=st.lists(st.sampled_from(BASES), min_size=depth, max_size=depth),
+_small_configs = st.builds(
+    ScatterConfig, level_bases=st.lists(st.sampled_from(BASES), min_size=1, max_size=3),
     variant=st.sampled_from(scattering.VARIANTS), boundary=st.sampled_from(scattering.BOUNDARIES),
     decimate=st.integers(1, 3), smooth_with=st.sampled_from(scattering.SMOOTH_WITH),
-    smooth_decimate=st.booleans(), selection=st.just(("S0",))))
+    smooth_decimate=st.booleans(), selection=st.just(("S0",)))
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 40), st.integers(1, 40), _small_configs)
 @example(8, 8, ScatterConfig(variant="classic", level_bases=("bior2.6", "bior1.3", "bior2.2"),
                              selection=("S0",)))  # 13 taps on the 4x4 U1
-@example(40, 40, ScatterConfig(depth=1, level_bases=("bior2.6",), selection=("S0",)))  # fits
+@example(40, 40, ScatterConfig(level_bases=("bior2.6",), selection=("S0",)))  # fits
 def test_plane_dims_rejects_exactly_what_scatter_rejects(h, w, config):
     want = _outcome(lambda: scatter(np.ones((h, w)), config))
     assert _outcome(lambda: plane_dims(w, h, config)) == want
@@ -755,12 +754,10 @@ def test_selection_names_declared_order():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(DataError, match="depth"):
-        ScatterConfig(depth=0, level_bases=(), selection=())
-    with pytest.raises(DataError, match="one basis per level"):
-        ScatterConfig(depth=2, level_bases=("bior1.1",), selection=("U1",))
+    with pytest.raises(DataError, match="need 1 to 31 bases, one per level, got 0"):
+        ScatterConfig(level_bases=(), selection=())
     with pytest.raises(DataError, match="bior7.7"):
-        ScatterConfig(depth=1, level_bases=("bior7.7",), selection=("U1",))
+        ScatterConfig(level_bases=("bior7.7",), selection=("U1",))
     with pytest.raises(DataError, match="boundary"):
         ScatterConfig(boundary="clamp")
     with pytest.raises(DataError, match="decimate"):
@@ -771,16 +768,22 @@ def test_config_rejects_bad_values():
         ScatterConfig(smooth_with="middle")
     with pytest.raises(DataError, match="U5"):
         ScatterConfig(selection=("U5",))
-    # a feature file's u64 selection mask holds the 2*depth+1 planes of depth <= 31
-    with pytest.raises(DataError, match="depth must be <= 31, got 32"):
-        ScatterConfig(depth=32, level_bases=("bior1.1",) * 32, selection=("S32",))
+    # selection_names' cache holds the names of every depth up to MAX_DEPTH
+    with pytest.raises(DataError, match="need 1 to 31 bases, one per level, got 32"):
+        ScatterConfig(level_bases=("bior1.1",) * 32, selection=("S32",))
     with pytest.raises(DataError, match="empty selection"):
         ScatterConfig(selection=())
 
 
+def test_depth_is_the_number_of_bases():
+    assert ScatterConfig().depth == 3
+    assert ScatterConfig(level_bases=("bior2.6",) * 31, selection=("S31",)).depth == 31
+    with pytest.raises(TypeError):
+        ScatterConfig(depth=3)
+
+
 def test_config_coerces_sequences_to_tuples():
-    cfg = ScatterConfig(depth=2, level_bases=["bior1.1", "bior2.2"],
-                        selection=["U1", "U2"])
+    cfg = ScatterConfig(level_bases=["bior1.1", "bior2.2"], selection=["U1", "U2"])
     assert cfg.level_bases == ("bior1.1", "bior2.2")
     assert cfg.selection == ("U1", "U2")
 
