@@ -19,8 +19,8 @@ from .flops import NetworkSpec, network_flops, parse_layers, pipeline_flops, the
 from .formats import parse_config_file, read_text
 from .metrics import check_peak, efficiency
 from .mlp import TrainConfig
-from .pipeline import (PipelineConfig, overlay_configs, run_bench, run_eval, run_extract,
-                       run_infer, run_train)
+from .pipeline import (P90_MIN_FRAMES, PipelineConfig, overlay_configs, run_bench, run_eval,
+                       run_extract, run_infer, run_train)
 from .synth import CLASSES, synth_dataset
 
 
@@ -169,6 +169,13 @@ def _cmd_bench(args):
     print(f"wall {report.wall_seconds:.6f} s, {report.fps:.2f} fps, {ms:.3f} ms/frame")
     print(f"extract {report.per_stage_ms[0]:.3f} ms/frame, "
           f"classify {report.per_stage_ms[1]:.3f} ms/frame")
+    stats = [("median", report.per_stage_median_ms)]
+    if report.per_stage_p90_ms is None:
+        print(f"p90 not reported: needs at least {P90_MIN_FRAMES} frames")
+    else:
+        stats.append(("p90", report.per_stage_p90_ms))
+    for name, (extract_ms, classify_ms) in stats:
+        print(f"{name} extract {extract_ms:.3f} ms, classify {classify_ms:.3f} ms")
     print("timed: feature extraction + classification per frame; file decode excluded")
     eff = None
     if args.peak is not None:
@@ -182,6 +189,9 @@ def _cmd_bench(args):
                 ("summary", "ms_per_frame", "", ms),
                 ("summary", "extract_ms", "", report.per_stage_ms[0]),
                 ("summary", "classify_ms", "", report.per_stage_ms[1])]
+        for name, (extract_ms, classify_ms) in stats:
+            rows += [("summary", f"extract_{name}_ms", "", extract_ms),
+                     ("summary", f"classify_{name}_ms", "", classify_ms)]
         if eff is not None:
             rows.append(("summary", "efficiency", "", eff))
         _write_csv(args.csv, ("record", "field1", "field2", "value"), rows)

@@ -200,7 +200,7 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
         try:
             return extract_features(_load_plane(config, rec.path), config.scatter), None
         except (DataError, OSError) as exc:
-            return None, (rec.path, str(exc))
+            return None, (rec.path, f"{type(exc).__name__}: {exc}")
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         outcomes = list((pool.map if pool else map)(work, records))
@@ -330,6 +330,12 @@ class BenchReport:
     wall_seconds: float
     fps: float
     per_stage_ms: tuple  # (extract, classify) mean milliseconds per frame
+    per_stage_median_ms: tuple  # (extract, classify) median milliseconds per frame
+    per_stage_p90_ms: tuple | None  # the same 90th percentiles; None under P90_MIN_FRAMES
+
+
+# A p90 is reported from this many frames on: ten of them lie beyond it.
+P90_MIN_FRAMES = 100
 
 
 def run_bench(config: PipelineConfig, model_path, image_path, frames: int) -> BenchReport:
@@ -351,7 +357,11 @@ def run_bench(config: PipelineConfig, model_path, image_path, frames: int) -> Be
     t_start = time.perf_counter()
     stage_times = [one_frame() for _ in range(frames)]
     wall = max(time.perf_counter() - t_start, 1e-9)
-    extract_s = sum(t[0] for t in stage_times)
-    classify_s = sum(t[1] for t in stage_times)
+    ms = np.array(stage_times) * 1e3  # one (extract, classify) row per frame
+
+    def per_stage(stat, *q):
+        return tuple(float(v) for v in stat(ms, *q, axis=0))
+
+    p90 = per_stage(np.percentile, 90) if frames >= P90_MIN_FRAMES else None
     return BenchReport((config.width, config.height), frames, wall, frames / wall,
-                       (extract_s / frames * 1e3, classify_s / frames * 1e3))
+                       per_stage(np.mean), per_stage(np.median), p90)

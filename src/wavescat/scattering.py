@@ -19,15 +19,22 @@ S maps decimates once more unless smooth_decimate is off.
 Each convolution is a row pass and then a column pass.  A pass runs as
 fixed-shape BLAS GEMMs when its kernel has at least GEMM_MIN_TAPS taps
 (bior2.6's 13-tap low-pass), or 3 or more taps over a plane of at least
-GEMM_MIN_PIXELS samples; every other pass is a loop of one numpy multiply
-and add per tap.  Both are deterministic and shift-equivariant bit for bit,
-under any number of BLAS threads, but their roundings differ.
-_pass_plan lays each pass out once per kernel, plane shape, boundary,
-stride and axis, and picks its engine.
+GEMM_MIN_PIXELS samples; every other pass is a tap loop of numpy ufunc
+calls.  The tap loop folds mirrored taps: every filter in the bank is
+linear-phase, so taps t and k-1-t are bitwise equal or negated, and such a
+pair costs one add (or subtract) of its two inputs and one multiply.  It
+sums the folded pairs (0, k-1), (1, k-2), ... and then the middle tap;
+the taps of a kernel without mirrored pairs are summed in order 0..k-1.
+Both engines are deterministic and shift-equivariant bit for bit, under
+any number of BLAS threads, but their roundings differ.  _pass_plan lays
+each pass out once per kernel, plane shape, boundary, stride and axis, and
+picks its engine; _conv_plan resolves a convolution's checks and both of
+its passes once per kernel, plane shape, boundary and stride.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,14 +52,29 @@ SMOOTH_WITH = ("first", "last")
 MAX_DEPTH = 31
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def validate_plane(plane) -> np.ndarray:
-    """Coerce to a 2D float64 array and check the image-plane invariants."""
-    a = np.asarray(plane, dtype=np.float64)
+    """Coerce to a 2D float64 array and check the image-plane invariants.
+    Only real numbers pass: a complex plane is rejected, not cut to its
+    real part, and so are text, ragged nestings and other objects."""
+    try:
+        a = np.asarray(plane)
+    except ValueError as exc:  # a ragged nesting
+        raise DataError(f"image plane is not an array: {exc}") from None
+    if a.dtype is not _FLOAT64:
+        if a.dtype.kind not in "biufO":
+            raise DataError(f"image plane must hold real numbers, got dtype {a.dtype}")
+        try:
+            a = a.astype(np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # an object that is no real number
+            raise DataError(f"image plane must hold real numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DataError(f"image plane must be 2D and non-empty, got shape {a.shape}")
     # squares sum to a finite value only if every value is finite; where they
     # overflow (np.vdot, unlike np.dot, does not warn), each value is checked
-    if not np.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
+    if not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
         raise DataError("image plane contains non-finite values")
     return a
 
@@ -155,7 +177,8 @@ def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
 _BLOCK = 1 << 15
 # The engine rule, from README's tap sweep: see _runs_as_gemm.  A plan keeps
 # the _BLOCK and the engine it was built with, so patching _BLOCK or either
-# constant takes effect on plans built after _pass_plan's cache is cleared.
+# constant takes effect on plans built after the caches of _pass_plan and
+# _conv_plan (which holds _pass_plan's plans) are cleared.
 GEMM_MIN_TAPS = 8
 GEMM_MIN_PIXELS = 1 << 16
 # Outputs per tile, and the rows of every row-pass GEMM.  Every GEMM of a
@@ -175,6 +198,24 @@ def _runs_as_gemm(taps: int, in_shape: tuple[int, int]) -> bool:
     return cols > 1 and (taps >= GEMM_MIN_TAPS or (taps >= 3 and rows * cols >= GEMM_MIN_PIXELS))
 
 
+def _tap_terms(factor) -> list[tuple[int, int | None, np.ufunc | None]]:
+    """The tap loop's terms in summation order, as (tap, mirror tap, fold).
+    First each folded pair (t, k-1-t), by t: fold is np.add where the two
+    taps are bitwise equal and np.subtract where they are bitwise negations,
+    and the term is factor[t] * fold(x_t, x_mirror).  Then every other tap
+    in index order, as (tap, None, None): the middle tap of an odd kernel,
+    zero taps of either sign (which never fold) and the taps of pairs that
+    do not mirror.  A kernel without mirrored pairs sums in order 0..k-1."""
+    k, pairs, folded = len(factor), [], set()
+    for t in range(k // 2):
+        u = k - 1 - t
+        a, b = float(factor[t]), float(factor[u])
+        if a != 0 and (a == b or a == -b):  # for nonzero floats, == is bitwise
+            pairs.append((t, u, np.add if a == b else np.subtract))
+            folded.update((t, u))
+    return pairs + [(t, None, None) for t in range(k) if t not in folded]
+
+
 # The default cascade makes 16 passes per plane shape, so 256 plans cover
 # many configs and sizes.  A plan holds index arrays no longer than the
 # extended axis and, for the tap loop, one slice per tap per block.
@@ -190,11 +231,13 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
     as one GEMM per tile over the whole width.  Every other pass is a tap
     loop over blocks of about _BLOCK outputs, reading the plane in place
     when this axis needs no boundary extension.  The tap loop sums each
-    output's taps in the fixed order 0..k-1, so its bits do not depend on
-    the block size.  The GEMM rounds through fused multiply-adds, so its
-    outputs differ from the tap loop's in the last bits (about 4e-16
-    relative); it computes every output the same way, whatever the
-    output's position or the number of BLAS threads."""
+    output's terms (_tap_terms) in one fixed order: the first term is
+    written into the output block, and each later one is made in a block
+    scratch and added.  So its bits do not depend on the block size.  The
+    GEMM rounds through fused multiply-adds, so its outputs differ from the
+    tap loop's in the last bits (about 4e-16 relative); it computes every
+    output the same way, whatever the output's position or the number of
+    BLAS threads."""
     coeffs, o = kernel.coefficients, kernel.origin
     k, n = len(coeffs), in_shape[axis]
     m, pad_lo, pad_hi = _pads(n, k, o, s)
@@ -205,6 +248,7 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
     else:
         lo = np.arange(-pad_lo, 0) % n
         hi = np.arange(n, n + pad_hi) % n
+    extended = np.concatenate((lo, np.arange(n), hi))  # the input index of each extended one
 
     if _runs_as_gemm(k, in_shape):
         # Each tile of _TILE outputs reads a window of `span` extended
@@ -223,7 +267,6 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
             # into a zeroed span x cols strip; every GEMM has one shape.
             j0 = min(tiles, -(-o // hop))
             j1 = max(j0, min(tiles, (n + o - span) // hop + 1))
-            extended = np.concatenate((lo, np.arange(n), hi))  # input row of each extended row
             edges = [j for j in range(tiles) if not j0 <= j < j1]
 
             def gemm_column_pass(x: np.ndarray) -> np.ndarray:
@@ -268,26 +311,49 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
 
     rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
     step = max(1, _BLOCK // cols)
-    blocks = []  # (output rows, scratch rows, one input index per tap)
+    terms = _tap_terms(kernel.factor)
+    # (output rows, scratch rows, per term: the input index of its tap and
+    # of the mirror tap, the fold and the tap's coefficient)
+    blocks = []
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         if axis == 0:
-            taps = tuple(slice(r0 * s + t, (r1 - 1) * s + t + 1, s) for t in range(k))
+            taps = [slice(r0 * s + t, (r1 - 1) * s + t + 1, s) for t in range(k)]
         else:
-            taps = tuple((slice(r0, r1), slice(t, t + (m - 1) * s + 1, s)) for t in range(k))
-        blocks.append((slice(r0, r1), slice(0, r1 - r0), taps))
+            taps = [(slice(r0, r1), slice(t, t + (m - 1) * s + 1, s)) for t in range(k)]
+        blocks.append((slice(r0, r1), slice(0, r1 - r0),
+                       [(taps[t], None if u is None else taps[u], fold, coeffs[t])
+                        for t, u, fold in terms]))
 
     def tap_loop(x: np.ndarray) -> np.ndarray:
-        ext = np.concatenate((x.take(lo, axis), x, x.take(hi, axis)), axis) if pad_lo or pad_hi else x
+        ext = x.take(extended, axis) if pad_lo or pad_hi else x
         out = np.empty(out_shape)
-        tmp = np.empty((min(step, rows), cols))
-        for dst, scratch, taps in blocks:
-            acc = np.multiply(ext[taps[0]], coeffs[0], out[dst])
-            part = tmp[scratch]
-            for src, c in zip(taps[1:], coeffs[1:]):
-                np.add(acc, np.multiply(ext[src], c, part), acc)
+        tmp = np.empty((min(step, rows), cols)) if len(terms) > 1 else None
+        for dst, scratch, block_terms in blocks:
+            acc = term = out[dst]
+            for i, (src, mirror, fold, c) in enumerate(block_terms):
+                if i == 1:
+                    term = tmp[scratch]
+                if fold is None:
+                    np.multiply(ext[src], c, term)
+                else:
+                    np.multiply(fold(ext[src], ext[mirror], term), c, term)
+                if i:
+                    np.add(acc, term, acc)
         return out
     return tap_loop
+
+
+# One entry per convolution of a cascade: the default makes 8 per plane size.
+@lru_cache(maxsize=256)
+def _conv_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, decimate: int):
+    """The row pass and the column pass of one conv2_decimated over planes
+    of `shape`, once the stride, the boundary mode and the kernel's fit to
+    both axes are checked."""
+    s = _checked_stride(boundary, decimate)  # checks the boundary mode too
+    _check_fit(shape, kernel, s)
+    return (_pass_plan(kernel, shape, boundary, s, 1),
+            _pass_plan(kernel, (shape[0], _out_len(shape[1], s)), boundary, s, 0))
 
 
 def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
@@ -311,10 +377,12 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     with the tap at the kernel origin aligned to input sample (i*s, j*s).
     """
     x = validate_plane(plane)
-    s = _checked_stride(boundary, decimate)  # checks the boundary mode too
-    _check_fit(x.shape, kernel, s)
-    rows = _pass_plan(kernel, x.shape, boundary, s, 1)(x)
-    return _pass_plan(kernel, rows.shape, boundary, s, 0)(rows)
+    try:
+        row_pass, column_pass = _conv_plan(kernel, x.shape, boundary, decimate)
+    except TypeError:  # an unhashable argument, which the checks reject by name
+        _checked_stride(boundary, decimate)
+        raise
+    return column_pass(row_pass(x))
 
 
 class Step(NamedTuple):

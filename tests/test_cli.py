@@ -1,6 +1,7 @@
 """End-to-end command line coverage, driving main() in process."""
 
 import csv
+import re
 import struct
 from pathlib import Path
 
@@ -154,6 +155,26 @@ def test_bench_output(ws, tmp_path, capsys):
     assert "efficiency" in rows
 
 
+@pytest.mark.parametrize("frames", [5, 100])
+def test_bench_prints_stage_medians_and_p90s(ws, tmp_path, capsys, frames):
+    report = tmp_path / "bench.csv"
+    rc = main(["bench", "--model", str(ws["model"]), "--image", str(ws["image"]),
+               "--config", str(ws["cfg"]), "--frames", str(frames), "--csv", str(report)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert re.search(r"^median extract \d+\.\d{3} ms, classify \d+\.\d{3} ms$", out, re.M)
+    with open(report, newline="") as fh:
+        rows = {r[1]: r[3] for r in list(csv.reader(fh))[1:]}
+    assert float(rows["extract_median_ms"]) > 0 and float(rows["classify_median_ms"]) > 0
+    if frames < 100:
+        assert "p90 not reported: needs at least 100 frames\n" in out
+        assert "extract_p90_ms" not in rows and "classify_p90_ms" not in rows
+    else:
+        assert re.search(r"^p90 extract \d+\.\d{3} ms, classify \d+\.\d{3} ms$", out, re.M)
+        for stage in ("extract", "classify"):
+            assert float(rows[f"{stage}_p90_ms"]) >= float(rows[f"{stage}_median_ms"])
+
+
 def test_bench_rejects_zero_frames(ws, capsys):
     rc = main(["bench", "--model", str(ws["model"]), "--image", str(ws["image"]),
                "--config", str(ws["cfg"]), "--frames", "0"])
@@ -292,6 +313,22 @@ def test_extract_failures_exit_2(ws, tmp_path, capsys):
     assert "wrote 0 feature records" in captured.out
     assert "image is 64x64, config expects 96x64" in captured.err
     assert "no longer index-aligned" in captured.err
+
+
+def test_extract_failure_lines_name_the_exception_type(ws, tmp_path, capsys):
+    truncated = tmp_path / "a.ppm"
+    truncated.write_bytes(ws["image"].read_bytes()[:17])
+    missing = tmp_path / "gone.ppm"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{ws['image']}\tnest\n{truncated}\tnest\n{missing}\tkite\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o.feat"),
+               "--config", str(ws["cfg"])])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert re.fullmatch(rf"failed: {re.escape(str(truncated))}: DataError: "
+                        rf"{re.escape(str(truncated))}: .* at byte offset 17", err[0])
+    assert err[1].startswith(f"failed: {missing}: FileNotFoundError: ")
+    assert err[2] == "2 of 3 images failed; feature file is no longer index-aligned with the manifest"
 
 
 def test_numeric_error_exit(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Manifest-to-report pipeline: extract, train, eval, infer, bench."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -583,6 +585,33 @@ def test_bench_report_invariants(dataset, trained):
     extract_ms, classify_ms = report.per_stage_ms
     assert extract_ms > 0 and classify_ms > 0
     assert (extract_ms + classify_ms) * 3 <= report.wall_seconds * 1e3 * 1.5
+
+
+@pytest.mark.parametrize("plane, message", [
+    ([[1.0, "a"]], "must hold real numbers, got dtype <U"),
+    ([[1.0, 2.0], [3.0]], "image plane is not an array"),
+    ([[1 + 2j]], "must hold real numbers, got dtype complex128"),
+    (np.ones((8, 8), dtype=np.complex64), "must hold real numbers, got dtype complex64"),
+    (np.array([[1.0, None]], dtype=object), "non-finite values"),  # None converts to NaN
+    (np.array([[1.0, 2j]], dtype=object), "must hold real numbers: "),
+    ([[10 ** 400]], "must hold real numbers: "),
+], ids=["text", "ragged", "complex-list", "complex-array", "none", "complex-object", "huge-int"])
+def test_extract_rejects_a_plane_of_anything_but_real_numbers(plane, message):
+    """Each ends in DataError before any convolution; a complex plane is not
+    cut to its real part (which numpy does with only a ComplexWarning)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape(message)):
+            extract_features(plane, CFG64.scatter)
+
+
+def test_extract_takes_integer_and_boolean_planes_as_float64():
+    x = np.random.default_rng(2).integers(0, 256, (64, 64))
+    want = extract_features(x.astype(np.float64), CFG64.scatter)
+    assert extract_features(x.astype(np.uint8), CFG64.scatter).tobytes() == want.tobytes()
+    assert extract_features(x.tolist(), CFG64.scatter).tobytes() == want.tobytes()
+    assert extract_features(x > 99, CFG64.scatter).tobytes() == extract_features(
+        (x > 99).astype(np.float64), CFG64.scatter).tobytes()
 
 
 @pytest.mark.parametrize("run", ["eval", "infer", "bench"])

@@ -192,14 +192,20 @@ def _conv_cases(draw):
 @contextlib.contextmanager
 def _replanned(**constants):
     """Patch scattering's plan constants (_BLOCK, GEMM_MIN_*), which a plan
-    reads when it is built; the plan cache is cleared on both sides of the
-    patch, so plans built under it are dropped when it ends."""
-    scattering._pass_plan.cache_clear()
+    reads when it is built; both plan caches are cleared on both sides of
+    the patch, so plans built under it are dropped when it ends."""
+    _clear_plans()
     try:
         with mock.patch.multiple(scattering, **constants):
             yield
     finally:
-        scattering._pass_plan.cache_clear()
+        _clear_plans()
+
+
+def _clear_plans():
+    """Drop every cached plan: the passes, and the convolutions that hold them."""
+    scattering._pass_plan.cache_clear()
+    scattering._conv_plan.cache_clear()
 
 
 @settings(deadline=None)
@@ -225,17 +231,32 @@ def test_conv_matches_brute_property(case, gemm_on_small_planes):
     assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
 
 
-def _unblocked_pass(x, f, origin, boundary, s, axis):
+def _unblocked_pass(x, f, origin, boundary, s, axis, fold=True):
     """One 1D pass the plainest way: extend the whole plane through
-    oracles.fold, then one multiply and one add per tap over all of it,
-    taps in order 0..k-1."""
+    oracles.fold, then sum one product per term over all of it.  With
+    fold, the terms are the tap loop's: first f[t] * (x_t + x_(k-1-t)) for
+    each pair of nonzero taps that are equal, or f[t] * (x_t - x_(k-1-t))
+    where they are negations, by t; then x_t * f[t] for every other tap, in
+    order.  Without fold, x_t * f[t] for every tap in order 0..k-1."""
     x = np.moveaxis(x, axis, 0)
     n, k = x.shape[0], len(f)
     m = -(-n // s)
     ext = x[[oracles.fold(t - origin, n, boundary) for t in range((m - 1) * s + k)]]
-    acc = ext[0:(m - 1) * s + 1:s] * f[0]
-    for t in range(1, k):
-        acc = acc + ext[t:t + (m - 1) * s + 1:s] * f[t]
+
+    def tap(t):
+        return ext[t:t + (m - 1) * s + 1:s]
+
+    terms, rest = [], list(range(k))
+    for t in range(k // 2 if fold else 0):
+        a, b = f[t], f[k - 1 - t]
+        if a != 0 and (a == b or a == -b):
+            terms.append(f[t] * (tap(t) + tap(k - 1 - t) if a == b else tap(t) - tap(k - 1 - t)))
+            rest.remove(t)
+            rest.remove(k - 1 - t)
+    terms += [tap(t) * f[t] for t in rest]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
     return np.moveaxis(acc, 0, axis)
 
 
@@ -244,8 +265,8 @@ def _unblocked_pass(x, f, origin, boundary, s, axis):
 @example(("bior2.6", WAVELET_DIAGONAL, "symmetric", 1, 40, 40, 1, 3))  # one row per block
 @example(("bior2.6", SCALE, "symmetric", 2, 40, 40, 1, 3))  # both passes are GEMMs
 def test_planned_pass_is_bitwise_the_unblocked_pass(case):
-    """The tap loop is bitwise the plainest pass, whatever the block size.  A
-    pass that the engine rule sends to a GEMM rounds otherwise
+    """The tap loop is bitwise the plainest pass that sums the same terms in
+    the same order, whatever the block size.  A pass that the engine rule sends to a GEMM rounds otherwise
     (test_gemm_passes_are_shift_equivariant), so a convolution with a GEMM
     pass is held to brute force instead."""
     name, kind, boundary, s, h, w, block, seed = case
@@ -263,6 +284,119 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     want = _unblocked_pass(rows, kern.factor, kern.origin, boundary, s, axis=0)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# Engine constants under which every pass runs as a tap loop.
+_NO_GEMM = dict(GEMM_MIN_TAPS=1 << 30, GEMM_MIN_PIXELS=1 << 62)
+
+
+@settings(deadline=None)
+@given(_conv_cases())
+@example(("bior2.6", SCALE, "symmetric", 1, 13, 13, 1, 0))  # 13 taps on a 13 px axis
+@example(("bior2.6", WAVELET_DIAGONAL, "periodic", 3, 3, 39, 5, 1))
+@example(("bior1.3", SCALE, "symmetric", 4, 17, 9, 2, 2))  # 6 taps, odd sides
+@example(("bior2.2", SCALE, "periodic", 2, 35, 21, 3, 3))
+@example(("bior1.1", WAVELET_DIAGONAL, "periodic", 3, 25, 7, 4, 4))  # the subtracting fold
+def test_tap_loop_matches_brute_property(case):
+    """With the engine rule patched so that no pass is a GEMM, the folded tap
+    loop is within criterion 4's bound of brute force: every basis and kind,
+    both boundaries, strides 1-4, 1-40 px sides and blocks of 1-64 outputs."""
+    name, kind, boundary, s, h, w, block, seed = case
+    kern = _kern(name, kind)
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    with _replanned(_BLOCK=block, **_NO_GEMM):
+        assert not scattering._runs_as_gemm(len(kern.factor), x.shape)
+        got = conv2_decimated(x, kern, boundary, s)
+    want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
+    assert got.shape == want.shape
+    assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
+
+
+def test_every_bank_kernel_folds_every_pair():
+    """Every filter of the bank is linear-phase: each tap is bitwise its
+    mirror tap or its negation, so the tap loop folds all k // 2 pairs and
+    keeps only an odd kernel's middle tap as a term of its own."""
+    for name in BASES:
+        for kind in (SCALE, WAVELET_DIAGONAL):
+            f = _kern(name, kind).factor
+            k = len(f)
+            terms = scattering._tap_terms(f)
+            assert [(t, u) for t, u, _ in terms] == (
+                [(t, k - 1 - t) for t in range(k // 2)] + [(k // 2, None)] * (k % 2))
+            want = np.subtract if (name, kind) in (("bior1.1", WAVELET_DIAGONAL),
+                                                   ("bior1.3", WAVELET_DIAGONAL)) else np.add
+            assert all(fold is want for _, u, fold in terms if u is not None)
+
+
+def _mirrored(half, middle, sign):
+    return np.concatenate((half, middle, sign * half[::-1]))
+
+
+@pytest.mark.parametrize("boundary", ["symmetric", "periodic"])
+def test_mirrored_kernel_is_bitwise_the_folded_pass(boundary):
+    """Random kernels of 2-7 taps whose pairs mirror (equal or negated taps,
+    some with a zero pair, which does not fold) run as tap loops bitwise
+    equal to the folded unblocked pass; folding does change bits against
+    the per-tap order for some of them."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((23, 31))
+    moved = 0
+    for k in range(2, 8):
+        for sign in (1.0, -1.0):
+            half = rng.standard_normal(k // 2)
+            if k >= 4:
+                half[1] = 0.0  # a zero pair stays two one-tap terms
+            f = _mirrored(half, rng.standard_normal(k % 2), sign)
+            kern = Kernel2D(factor=f, kind=SCALE, origin=int(rng.integers(0, k)))
+            s = int(rng.integers(1, 4))
+            with _replanned(_BLOCK=int(rng.integers(1, 200)), **_NO_GEMM):
+                got = conv2_decimated(x, kern, boundary, s)
+            rows = _unblocked_pass(x, f, kern.origin, boundary, s, axis=1)
+            want = _unblocked_pass(rows, f, kern.origin, boundary, s, axis=0)
+            assert got.tobytes() == want.tobytes()
+            rows = _unblocked_pass(x, f, kern.origin, boundary, s, axis=1, fold=False)
+            per_tap = _unblocked_pass(rows, f, kern.origin, boundary, s, axis=0, fold=False)
+            moved += got.tobytes() != per_tap.tobytes()
+    assert moved > 0
+
+
+@pytest.mark.parametrize("boundary", ["symmetric", "periodic"])
+def test_unmirrored_kernel_sums_its_taps_in_order(boundary):
+    """A kernel none of whose pairs mirror is all one-tap terms: bitwise the
+    per-tap pass in order 0..k-1, as before folding."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((29, 19))
+    for k in range(2, 8):
+        f = rng.standard_normal(k)
+        assert all(t is None for _, t, _ in scattering._tap_terms(f))
+        kern = Kernel2D(factor=f, kind=SCALE, origin=int(rng.integers(0, k)))
+        s = int(rng.integers(1, 4))
+        with _replanned(_BLOCK=int(rng.integers(1, 200)), **_NO_GEMM):
+            got = conv2_decimated(x, kern, boundary, s)
+        rows = _unblocked_pass(x, f, kern.origin, boundary, s, axis=1, fold=False)
+        want = _unblocked_pass(rows, f, kern.origin, boundary, s, axis=0, fold=False)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_convolution_is_resolved_once():
+    """After the first call, a convolution of the same kernel, shape,
+    boundary and stride neither checks the fit nor looks a pass up again;
+    an argument that fails its checks is never cached and fails each time,
+    with the same message as an unhashable one."""
+    kern = _kern("bior2.2", SCALE)
+    x = np.random.default_rng(14).standard_normal((20, 17))
+    _clear_plans()
+    want = conv2_decimated(x, kern, "symmetric", 2)
+    with mock.patch.object(scattering, "_check_fit", side_effect=AssertionError), \
+            mock.patch.object(scattering, "_pass_plan", side_effect=AssertionError):
+        assert conv2_decimated(x, kern, "symmetric", 2).tobytes() == want.tobytes()
+    for _ in range(2):
+        with pytest.raises(DataError, match="decimate must be >= 1, got 0"):
+            conv2_decimated(x, kern, "symmetric", 0)
+        with pytest.raises(DataError, match=r"kernel side 5 does not fit plane of shape \(1, 17\)"):
+            conv2_decimated(x[:1], kern, "symmetric", 2)
+        with pytest.raises(DataError, match=r"unknown boundary mode \['symmetric'\]"):
+            conv2_decimated(x, kern, ["symmetric"], 2)
 
 
 # every kernel of 3 or more taps in the filter bank: 3, 5, 6 and 13 taps
@@ -421,6 +555,11 @@ def test_pass_plan_cache_is_bounded():
     for n in range(1, limit + 20):
         scattering._pass_plan(kern, (n, 8), "periodic", 1, 0)
     assert scattering._pass_plan.cache_info().currsize <= limit
+    limit = scattering._conv_plan.cache_info().maxsize
+    assert limit is not None
+    for n in range(1, limit + 20):
+        scattering._conv_plan(kern, (n, 8), "periodic", 1)
+    assert scattering._conv_plan.cache_info().currsize <= limit
     assert selection_names.cache_info().maxsize is not None
 
 
@@ -454,7 +593,7 @@ def test_threads_extracting_one_plane_at_once_write_the_same_bytes():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        scattering._pass_plan.cache_clear()  # every thread builds the plans at once
+        _clear_plans()  # every thread builds the plans at once
         threads = [threading.Thread(target=work, args=(out,)) for out in got]
         for t in threads:
             t.start()
