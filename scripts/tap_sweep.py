@@ -5,12 +5,13 @@ scattering._pass_plan, as the tap loop and as the GEMM, in alternating
 rounds.  A row pass reads the WxH plane; a column pass reads what the row
 pass makes of it, H rows of ceil(W/stride) columns.  Each path is forced
 through the engine rule (scattering._runs_as_gemm) by setting its
-constants, GEMM_MIN_TAPS and GEMM_MIN_PIXELS, to extremes and dropping the
-cached plans, so the table shows where the rule's thresholds should sit.  The kernels are the filter bank's:
-bior1.1's low-pass (2 taps), bior2.2's high-pass (3), bior2.2's low-pass
-(5), bior1.3's low-pass (6) and bior2.6's low-pass (13), all with the
-symmetric boundary.  Prints each path's median time and how many rounds
-the GEMM won.  BLAS runs on one thread, as in the benchmark:
+constants, GEMM_MIN_TAPS and GEMM_MIN_PIXELS, to extremes before the pass
+is built, so the table shows where the rule's thresholds should sit.  The
+kernels are the filter bank's: bior1.1's low-pass (2 taps), bior2.2's
+high-pass (3), bior2.2's low-pass (5), bior1.3's low-pass (6) and bior2.6's
+low-pass (13), all with the symmetric boundary.  Prints each path's median
+time and how many rounds the GEMM won.  BLAS runs on one thread, as in the
+benchmark:
 
     PYTHONPATH=src python scripts/tap_sweep.py [--axes row column]
 """
@@ -39,7 +40,6 @@ def seconds(x, kernel, stride, axis, gemm, repeats):
     k = len(kernel.factor)
     # at these extremes the rule sends every pass of this kernel one way
     scattering.GEMM_MIN_TAPS, scattering.GEMM_MIN_PIXELS = (1, 0) if gemm else (k + 1, x.size + 1)
-    scattering._pass_plan.cache_clear()  # a cached plan keeps the engine it was built with
     assert scattering._runs_as_gemm(k, x.shape) == gemm
     one_pass = scattering._pass_plan(kernel, x.shape, "symmetric", stride, axis)
     t0 = time.perf_counter()

@@ -27,14 +27,15 @@ sums the folded pairs (0, k-1), (1, k-2), ... and then the middle tap;
 the taps of a kernel without mirrored pairs are summed in order 0..k-1.
 Both engines are deterministic and shift-equivariant bit for bit, under
 any number of BLAS threads, but their roundings differ.  _pass_plan lays
-each pass out once per kernel, plane shape, boundary, stride and axis, and
-picks its engine; _conv_plan resolves a convolution's checks and both of
-its passes once per kernel, plane shape, boundary and stride.
+one pass out and picks its engine; _conv_plan resolves a convolution's
+checks and lays out both of its passes once per kernel, plane shape,
+boundary and stride.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -136,9 +137,13 @@ def _check_selection(selection, depth: int) -> tuple[str, ...]:
 def _checked_stride(boundary: str, decimate: int) -> int:
     if boundary not in BOUNDARIES:
         raise DataError(f"unknown boundary mode {boundary!r}")
-    if decimate < 1:
+    try:
+        s = operator.index(decimate)  # an integer, never a float cut to one
+    except TypeError:
+        raise DataError(f"decimate must be an integer, got {decimate!r}") from None
+    if s < 1:
         raise DataError(f"decimate must be >= 1, got {decimate}")
-    return int(decimate)
+    return s
 
 
 @dataclass(frozen=True)
@@ -177,25 +182,23 @@ def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
 _BLOCK = 1 << 15
 # The engine rule, from README's tap sweep: see _runs_as_gemm.  A plan keeps
 # the _BLOCK and the engine it was built with, so patching _BLOCK or either
-# constant takes effect on plans built after the caches of _pass_plan and
-# _conv_plan (which holds _pass_plan's plans) are cleared.
+# constant takes effect on plans built after _conv_plan's cache is cleared.
 GEMM_MIN_TAPS = 8
 GEMM_MIN_PIXELS = 1 << 16
-# Outputs per tile, and the rows of every row-pass GEMM.  Every GEMM of a
-# pass then has one shape, so OpenBLAS runs one kernel path for every output
-# and shifts stay bitwise.
+# Outputs per tile.  Every GEMM of a pass then has one shape, so OpenBLAS
+# runs one kernel path for every output and shifts stay bitwise.
 _TILE = 8
-_TILE_ROWS = 64
 
 
 def _runs_as_gemm(taps: int, in_shape: tuple[int, int]) -> bool:
     """Whether a pass of `taps` taps over planes of `in_shape` runs as tile
     GEMMs: with at least GEMM_MIN_TAPS taps, or with 3 or more on a plane
-    of at least GEMM_MIN_PIXELS samples.  Every other pass, and every pass
-    over one column, where a column GEMM would be a matrix-vector product
-    that sums in another order, is a tap loop."""
+    of at least GEMM_MIN_PIXELS samples.  Every other pass is a tap loop,
+    and so is every pass over one row or one column: there a GEMM would be
+    a vector-matrix or matrix-vector product, which sums in another order."""
     rows, cols = in_shape
-    return cols > 1 and (taps >= GEMM_MIN_TAPS or (taps >= 3 and rows * cols >= GEMM_MIN_PIXELS))
+    return rows > 1 and cols > 1 and (
+        taps >= GEMM_MIN_TAPS or (taps >= 3 and rows * cols >= GEMM_MIN_PIXELS))
 
 
 def _tap_terms(factor) -> list[tuple[int, int | None, np.ufunc | None]]:
@@ -216,24 +219,21 @@ def _tap_terms(factor) -> list[tuple[int, int | None, np.ufunc | None]]:
     return pairs + [(t, None, None) for t in range(k) if t not in folded]
 
 
-# The default cascade makes 16 passes per plane shape, so 256 plans cover
-# many configs and sizes.  A plan holds index arrays no longer than the
-# extended axis and, for the tap loop, one slice per tap per block.
-@lru_cache(maxsize=256)
 def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
                axis: int):
     """One decimating 1D pass of `kernel` along `axis` over planes of
     `in_shape`, laid out once: returns a function that maps such a plane to
     a freshly allocated output and never writes the plane.
 
-    Where _runs_as_gemm says so, the pass runs as tile GEMMs: a row pass
-    (axis 1) as one GEMM per tile per _TILE_ROWS rows, a column pass (axis 0)
-    as one GEMM per tile over the whole width.  Every other pass is a tap
-    loop over blocks of about _BLOCK outputs, reading the plane in place
-    when this axis needs no boundary extension.  The tap loop sums each
-    output's terms (_tap_terms) in one fixed order: the first term is
-    written into the output block, and each later one is made in a block
-    scratch and added.  So its bits do not depend on the block size.  The
+    Where _runs_as_gemm says so, the pass runs as tile GEMMs, on either
+    axis one GEMM per tile of _TILE outputs across the whole plane: (rows x
+    span) @ (span x _TILE) for a row pass (axis 1), (_TILE x span) @ (span x
+    cols) for a column pass (axis 0).  Every other pass is a tap loop over
+    blocks of about _BLOCK outputs, reading the plane in place when this
+    axis needs no boundary extension.  The tap loop sums each output's
+    terms (_tap_terms) in one fixed order: the first term is written into
+    the output block, and each later one is made in a block scratch and
+    added.  So its bits do not depend on the block size.  The
     GEMM rounds through fused multiply-adds, so its outputs differ from the
     tap loop's in the last bits (about 4e-16 relative); it computes every
     output the same way, whatever the output's position or the number of
@@ -250,66 +250,52 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
         hi = np.arange(n, n + pad_hi) % n
     extended = np.concatenate((lo, np.arange(n), hi))  # the input index of each extended one
 
+    rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
     if _runs_as_gemm(k, in_shape):
-        # Each tile of _TILE outputs reads a window of `span` extended
-        # inputs.  Column b of the band holds the taps at rows b*s .. b*s+k-1,
-        # so a window times the band is the tile.
-        rows, cols = in_shape
+        # Tile j of _TILE outputs reads a window of `span` inputs, from input
+        # j*hop - o on.  Column b of the band holds the taps at rows b*s ..
+        # b*s+k-1, so a window times the band is the tile.  Tiles j0..j1-1
+        # read their windows from the plane in place, and one stacked GEMM
+        # writes them straight into the output.  Each edge tile's window is
+        # gathered, through the extension, into a zeroed strip laid out as
+        # the plane is, and one more stacked GEMM makes those tiles.  So
+        # every GEMM of a pass has one shape and one layout.
         span, tiles, hop = (_TILE - 1) * s + k, -(-m // _TILE), _TILE * s
         band = np.zeros((span, _TILE))
         for b in range(_TILE):
             band[b * s:b * s + k, b] = coeffs
-        if axis == 0:
-            # Tile j's window starts at input row j*hop - o.  Tiles j0..j1-1
-            # read their windows from the plane in place, through one stacked
-            # GEMM of the band's transpose that writes the output in place.
-            # Each edge tile's window is gathered, through the extension,
-            # into a zeroed span x cols strip; every GEMM has one shape.
-            j0 = min(tiles, -(-o // hop))
-            j1 = max(j0, min(tiles, (n + o - span) // hop + 1))
-            edges = [j for j in range(tiles) if not j0 <= j < j1]
+        j0 = min(tiles, -(-o // hop))
+        j1 = max(j0, min(tiles, (n + o - span) // hop + 1))
+        edges = [j for j in range(tiles) if not j0 <= j < j1]
+        other = in_shape[1 - axis]
+        window = (span, other) if axis == 0 else (other, span)
 
-            def gemm_column_pass(x: np.ndarray) -> np.ndarray:
-                out = np.empty((m, cols))
-                if j1 > j0:
-                    windows = sliding_window_view(x, span, axis=0)[j0 * hop - o::hop][:j1 - j0]
-                    np.matmul(band.T, windows.transpose(0, 2, 1),
-                              out=out[j0 * _TILE:j1 * _TILE].reshape(j1 - j0, _TILE, cols))
-                strips = np.zeros((len(edges), span, cols))
-                for strip, j in zip(strips, edges):
-                    idx = extended[j * hop:j * hop + span]  # zeros past the extension
-                    strip[:len(idx)] = x[idx]
-                for j, tile in zip(edges, np.matmul(band.T, strips)):
-                    out[j * _TILE:(j + 1) * _TILE] = tile[:m - j * _TILE]
-                return out
-            return gemm_column_pass
+        def gemm(windows, out=None):
+            """Tiles of a stack of windows, both laid out as the plane is: a
+            row pass's tile j is out[:, 8j:8j+8], a column pass's out[8j:8j+8]."""
+            if axis:
+                return np.matmul(windows, band, out=out)
+            return np.matmul(band.T, windows, out=out)
 
-        # _TILE_ROWS rows at a time are extended into one zeroed buffer, with
-        # zeros past the extension up to the last tile's last input.  Tile t
-        # of every row is one (_TILE_ROWS x span) window of that buffer, read
-        # in place by one stacked GEMM.
-        reach = max((tiles - 1) * hop + span, o + n + pad_hi)
+        def along(a):  # a plane or a tile with the pass axis first
+            return a.swapaxes(0, axis)
 
-        def gemm_row_pass(x: np.ndarray) -> np.ndarray:
-            ext = np.zeros((_TILE_ROWS, reach))
-            windows = sliding_window_view(ext, span, axis=1)[:, :tiles * hop:hop].transpose(1, 0, 2)
-            c = np.empty((_TILE_ROWS, tiles * _TILE))
-            tiled = c.reshape(_TILE_ROWS, tiles, _TILE).transpose(1, 0, 2)
-            out = np.empty((rows, m))
-            for r0 in range(0, rows, _TILE_ROWS):
-                src = x[r0:r0 + _TILE_ROWS]
-                g = len(src)
-                ext[:g, :o] = src[:, lo]
-                ext[:g, o:o + n] = src
-                ext[:g, o + n:o + n + pad_hi] = src[:, hi]
-                # a last, shorter group leaves the previous group's finite
-                # rows behind it in `ext`; their outputs are dropped
-                np.matmul(windows, band, out=tiled)
-                out[r0:r0 + g] = c[:g, :m]
+        def gemm_pass(x: np.ndarray) -> np.ndarray:
+            x = np.ascontiguousarray(x)  # BLAS reads rows of unit stride
+            out = np.empty(out_shape)
+            if j1 > j0:
+                windows = sliding_window_view(x, window).reshape(-1, *window)[j0 * hop - o::hop]
+                tiled = along(out)[j0 * _TILE:j1 * _TILE].reshape(j1 - j0, _TILE, other)
+                gemm(windows[:j1 - j0], out=tiled.swapaxes(1, 1 + axis))  # along() per tile
+            strips = np.zeros((len(edges), *window))
+            for strip, j in zip(strips, edges):
+                idx = extended[j * hop:j * hop + span]  # zeros past the extension
+                along(strip)[:len(idx)] = along(x)[idx]
+            for j, tile in zip(edges, gemm(strips)):
+                along(out)[j * _TILE:(j + 1) * _TILE] = along(tile)[:m - j * _TILE]
             return out
-        return gemm_row_pass
+        return gemm_pass
 
-    rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
     step = max(1, _BLOCK // cols)
     terms = _tap_terms(kernel.factor)
     # (output rows, scratch rows, per term: the input index of its tap and
@@ -345,6 +331,8 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
 
 
 # One entry per convolution of a cascade: the default makes 8 per plane size.
+# An entry holds index arrays no longer than the extended axes and, for a
+# tap loop, one slice per tap per block.
 @lru_cache(maxsize=256)
 def _conv_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, decimate: int):
     """The row pass and the column pass of one conv2_decimated over planes

@@ -107,8 +107,9 @@ def test_conv_rejects_kernel_larger_than_plane():
 
 def test_conv_rejects_bad_arguments():
     kern = _kern("bior1.1", SCALE)
-    with pytest.raises(DataError, match="decimate"):
-        conv2_decimated(np.ones((8, 8)), kern, "symmetric", 0)
+    for decimate in (0, 2.5, "2"):
+        with pytest.raises(DataError, match="decimate"):
+            conv2_decimated(np.ones((8, 8)), kern, "symmetric", decimate)
     with pytest.raises(DataError, match="boundary"):
         conv2_decimated(np.ones((8, 8)), kern, "mirror", 2)
     with pytest.raises(DataError, match="2D"):
@@ -192,8 +193,8 @@ def _conv_cases(draw):
 @contextlib.contextmanager
 def _replanned(**constants):
     """Patch scattering's plan constants (_BLOCK, GEMM_MIN_*), which a plan
-    reads when it is built; both plan caches are cleared on both sides of
-    the patch, so plans built under it are dropped when it ends."""
+    reads when it is built; the plan cache is cleared on both sides of the
+    patch, so plans built under it are dropped when it ends."""
     _clear_plans()
     try:
         with mock.patch.multiple(scattering, **constants):
@@ -203,8 +204,7 @@ def _replanned(**constants):
 
 
 def _clear_plans():
-    """Drop every cached plan: the passes, and the convolutions that hold them."""
-    scattering._pass_plan.cache_clear()
+    """Drop every cached convolution plan, and with it both of its passes."""
     scattering._conv_plan.cache_clear()
 
 
@@ -419,7 +419,8 @@ def _gemm_shift_cases(draw):
         kern = Kernel2D(factor=rng.standard_normal(k), kind=SCALE, origin=draw(st.integers(0, k - 1)))
     side = st.integers(1, 48 // s).map(lambda q: q * s).filter(
         lambda n: max(_reach(n, kern, s)) <= n)
-    h, w = draw(side), draw(side.filter(lambda n: n > s))  # 2 or more columns per pass
+    # 2 or more rows, and 2 or more columns per pass
+    h, w = draw(side.filter(lambda n: n > 1)), draw(side.filter(lambda n: n > s))
     shift = (s * draw(st.integers(0, h // s - 1)), s * draw(st.integers(0, w // s - 1)))
     return kern, s, rng.standard_normal((h, w)), shift
 
@@ -433,7 +434,7 @@ def _shift_case(name, kind, s, h, w, shift, seed):
 @given(_gemm_shift_cases())
 # bior2.6's column pass at stride 2 on 80 rows: tile 0 and tile 4 are edge
 # tiles, 1-3 interior; a 32-row roll moves outputs two tiles across that
-# border.  80 rows are a full row-pass group of 64 and a short one.
+# border.  The row pass's tiles split the same way along its 100 columns.
 @example(_shift_case("bior2.6", SCALE, 2, 80, 100, (32, 10), 0))  # 50 columns
 @example(_shift_case("bior2.6", SCALE, 2, 20, 34, (6, 10), 0))  # 17 columns
 @example(_shift_case("bior2.6", SCALE, 2, 26, 130, (2, 64), 1))  # 65 columns
@@ -444,10 +445,10 @@ def test_gemm_passes_are_shift_equivariant(case):
     """Under the periodic boundary, shifting the input by (a*s, b*s) rolls
     the output by (a, b) bit for bit: every output of the GEMM row pass and
     the GEMM column pass is computed the same way wherever it sits in its
-    tile, its group of rows or its GEMM, and whether its column-pass tile
-    reads the plane in place or through an edge strip.  The engine rule's
-    plane-size threshold is patched to 0, so every kernel here runs both
-    passes as GEMMs; a plane of one column would take the tap loop."""
+    tile or its GEMM, and whether its tile reads the plane in place or
+    through an edge strip.  The engine rule's plane-size threshold is
+    patched to 0, so every kernel here runs both passes as GEMMs; a plane
+    of one row or one column would take the tap loop."""
     kern, s, x, (dy, dx) = case
     (h, w), k = x.shape, len(kern.factor)
     with _replanned(GEMM_MIN_PIXELS=0):
@@ -459,13 +460,60 @@ def test_gemm_passes_are_shift_equivariant(case):
     assert base.tobytes() == again.tobytes()
 
 
+# 3, 5 and 13 taps
+_ROW_GEMM_KERNELS = (("bior2.2", WAVELET_DIAGONAL), ("bior2.2", SCALE), ("bior2.6", SCALE))
+
+
+@st.composite
+def _row_gemm_cases(draw):
+    """A kernel of 3, 5 or 13 taps, a boundary and a stride, and a plane of
+    d = 1-3 rows above 2-130 more, with a width the kernel fits."""
+    kern = _kern(*draw(st.sampled_from(_ROW_GEMM_KERNELS)))
+    boundary = draw(st.sampled_from(["symmetric", "periodic"]))
+    s = draw(st.integers(1, 3))
+    h, d = draw(st.integers(2, 130)), draw(st.integers(1, 3))
+    w = draw(st.integers(2, 100).filter(lambda n: max(_reach(n, kern, s)) <= n))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((d + h, w))
+    return kern, boundary, s, x, d
+
+
+def _row_case(name, kind, boundary, s, h, w, d, seed):
+    x = np.random.default_rng(seed).standard_normal((d + h, w))
+    return _kern(name, kind), boundary, s, x, d
+
+
+@settings(deadline=None)
+@given(_row_gemm_cases())
+@example(_row_case("bior2.6", SCALE, "periodic", 2, 64, 100, 3, 0))  # interior and edge tiles
+@example(_row_case("bior2.2", WAVELET_DIAGONAL, "symmetric", 1, 2, 17, 1, 1))  # 2 rows
+def test_gemm_row_pass_rows_do_not_depend_on_plane_height(case):
+    """A GEMM row pass makes each row of its output from that row alone, the
+    same way whatever the plane's height: the rows of a plane below its
+    first d are bitwise the row pass of those rows by themselves, and the
+    plane in column-major order gives the same bytes.  The plane-size
+    threshold is patched to 0, so every pass here is a GEMM; a plane of one
+    row takes the tap loop, since a GEMM of one row is a vector-matrix
+    product that sums in another order."""
+    kern, boundary, s, x, d = case
+    k = len(kern.factor)
+    assert not scattering._runs_as_gemm(3, (1, 1 << 17))
+    with _replanned(GEMM_MIN_PIXELS=0):
+        assert scattering._runs_as_gemm(k, x[d:].shape)
+        row_pass = scattering._pass_plan(kern, x.shape, boundary, s, 1)
+        cut = scattering._pass_plan(kern, x[d:].shape, boundary, s, 1)(x[d:])
+    whole = row_pass(x)
+    assert whole[d:].tobytes() == cut.tobytes()
+    assert row_pass(np.asfortranarray(x)).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_gemm_pass_shift_test_holds_under_one_and_two_blas_threads(tmp_path, threads):
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join(p for p in (here, os.path.dirname(os.path.dirname(scattering.__file__)),
                                        os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
-    code = "import test_scattering as t; t.test_gemm_passes_are_shift_equivariant()"
+    code = ("import test_scattering as t; t.test_gemm_passes_are_shift_equivariant(); "
+            "t.test_gemm_row_pass_rows_do_not_depend_on_plane_height()")
     subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True, timeout=300)
 
 
@@ -474,9 +522,8 @@ def test_gemm_pass_shift_test_holds_under_one_and_two_blas_threads(tmp_path, thr
 def test_gemm_convolution_allocates_no_plane_sized_buffer(name, kind):
     """At 720p both passes of the 13-tap low-pass and of the 3-tap high-pass
     are GEMMs that read their input in place: one conv2_decimated allocates
-    its two pass outputs plus at most 1 MiB of edge strips and row buffers,
-    and no extension or gather buffer the size of a plane (a 720x640 plane
-    is 3.7 MB)."""
+    its two pass outputs plus at most 1 MiB of edge strips, and no extension
+    or gather buffer the size of a plane (a 720x640 plane is 3.7 MB)."""
     kern = _kern(name, kind)
     x = np.random.default_rng(6).standard_normal((720, 1280))
     conv2_decimated(x, kern, "symmetric", 2)  # builds and caches both plans
@@ -498,12 +545,12 @@ def test_one_plan_per_kernel_shape_and_stride():
     x = np.random.default_rng(8).standard_normal((20, 30))
     plans = set()
     for s in (1, 2, 3):
-        plan = scattering._pass_plan(kern, x.shape, "symmetric", s, 1)
-        assert plan is scattering._pass_plan(make_kernel2d(pair, SCALE, unit_dc=True), x.shape,
-                                             "symmetric", s, 1)
+        plan = scattering._conv_plan(kern, x.shape, "symmetric", s)
+        assert plan is scattering._conv_plan(make_kernel2d(pair, SCALE, unit_dc=True), x.shape,
+                                             "symmetric", s)
         plans.add(plan)
         want = _unblocked_pass(x, kern.factor, kern.origin, "symmetric", s, axis=1)
-        assert oracles.rel_err(plan(x), want) <= 1e-12  # the GEMM row pass
+        assert oracles.rel_err(plan[0](x), want) <= 1e-12  # the GEMM row pass
     assert len(plans) == 3
 
 
@@ -527,34 +574,29 @@ def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
         got = conv2_decimated(x, kern, "periodic", 2)
         want = oracles.brute_conv2(x, kern.taps, kern.origin, "periodic", 2)
         assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
-        plans.add(scattering._pass_plan(kern, x.shape, "periodic", 2, 1))
+        plans.add(scattering._conv_plan(kern, x.shape, "periodic", 2))
     assert len(plans) == 3
 
 
 def test_patched_block_changes_the_plan_blocks():
     kern = _kern("bior2.2", SCALE)
     x = np.random.default_rng(5).standard_normal((24, 40))
-    key = (kern, x.shape, "symmetric", 2, 1)  # the row pass: 24 rows of 20 outputs
+    key = (kern, x.shape, "symmetric", 2)  # its row pass: 24 rows of 20 outputs
 
     def blocks(plan):
-        return len(inspect.getclosurevars(plan).nonlocals["blocks"])
+        return len(inspect.getclosurevars(plan[0]).nonlocals["blocks"])
 
     with _replanned(_BLOCK=1 << 15):  # all 480 outputs in one block
-        whole, plan = conv2_decimated(x, kern, "symmetric", 2), scattering._pass_plan(*key)
+        whole, plan = conv2_decimated(x, kern, "symmetric", 2), scattering._conv_plan(*key)
     with _replanned(_BLOCK=20):  # one row of outputs per block
-        split, blocked = conv2_decimated(x, kern, "symmetric", 2), scattering._pass_plan(*key)
+        split, blocked = conv2_decimated(x, kern, "symmetric", 2), scattering._conv_plan(*key)
     assert (blocks(plan), blocks(blocked)) == (1, 24)
-    assert scattering._pass_plan(*key) is not blocked  # dropped when the patch ends
+    assert scattering._conv_plan(*key) is not blocked  # dropped when the patch ends
     assert whole.tobytes() == split.tobytes()
 
 
 def test_pass_plan_cache_is_bounded():
     kern = _kern("bior1.1", SCALE)
-    limit = scattering._pass_plan.cache_info().maxsize
-    assert limit is not None
-    for n in range(1, limit + 20):
-        scattering._pass_plan(kern, (n, 8), "periodic", 1, 0)
-    assert scattering._pass_plan.cache_info().currsize <= limit
     limit = scattering._conv_plan.cache_info().maxsize
     assert limit is not None
     for n in range(1, limit + 20):
@@ -899,8 +941,9 @@ def test_config_rejects_bad_values():
         ScatterConfig(level_bases=("bior7.7",), selection=("U1",))
     with pytest.raises(DataError, match="boundary"):
         ScatterConfig(boundary="clamp")
-    with pytest.raises(DataError, match="decimate"):
-        ScatterConfig(decimate=0)
+    for decimate in (0, 2.5, "2"):
+        with pytest.raises(DataError, match="decimate"):
+            ScatterConfig(decimate=decimate)
     with pytest.raises(DataError, match="variant"):
         ScatterConfig(variant="turbo")
     with pytest.raises(DataError, match="smooth_with"):
