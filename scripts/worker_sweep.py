@@ -1,12 +1,13 @@
 """Pool versus calling thread for run_extract, per plane size.
 
-For each size, writes a synthetic corpus and times run_extract with one
-thread (the calling-thread loop) and with --threads pool workers, in
-alternating rounds.  The pool is forced at every size by setting
-pipeline.POOL_MIN_PIXELS to 0, so the table shows where the threshold
-should sit.  Prints the pool's median rate over the calling thread's and
-how many rounds the pool won.  Run with OPENBLAS_NUM_THREADS=1 so BLAS
-threads do not compete with the workers:
+For each size, writes a synthetic corpus and times run_extract with the
+calling thread alone ("serial") and with a pool of --threads workers, in
+alternating rounds.  The pool is the calling thread plus --threads - 1
+helper threads, all taking images from one queue.  It is forced at every
+size by setting pipeline.POOL_MIN_PIXELS to 0, so the table shows where
+the threshold should sit.  Prints the pool's median rate over the calling
+thread's and how many rounds the pool won.  Run with OPENBLAS_NUM_THREADS=1
+so BLAS threads do not compete with the workers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/worker_sweep.py
 """
@@ -35,7 +36,8 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", nargs="+", default=SIZES, metavar="WxH")
     ap.add_argument("--rounds", type=int, default=8)
-    ap.add_argument("--threads", type=int, default=2)
+    ap.add_argument("--threads", type=int, default=2,
+                    help="workers in the pool, the calling thread included")
     ap.add_argument("--mpx", type=float, default=8.0,
                     help="megapixels per pass; sets the image count per size")
     args = ap.parse_args()

@@ -2,17 +2,18 @@
 evaluation, and the throughput benchmark.
 
 The heavy math lives in scattering/mlp; this module handles ordering,
-worker pools, header/dimension consistency checks, and report assembly.
-Worker count changes scheduling only, never results: each image is an
-isolated pure computation and outputs are restored to manifest order.
+extraction workers, header/dimension consistency checks, and report
+assembly.  Worker count changes scheduling only, never results: each image
+is an isolated pure computation written into its own manifest-order row.
+An unexpected error in any worker stops the hand-out of new images and is
+raised once every worker has finished the image it is on.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -167,8 +168,8 @@ def _check_feature_header(config: PipelineConfig, header, path):
                         f"at byte offset {FEATURE_TEXT_OFFSET + len(got)}")
 
 
-# Planes smaller than this are extracted on the calling thread: their numpy
-# calls are too short to outweigh the pool's GIL handoffs (README, "Worker count").
+# Planes smaller than this are extracted by the calling thread alone: their
+# numpy calls are too short to outweigh GIL handoffs (README, "Worker count").
 POOL_MIN_PIXELS = 1 << 17
 
 
@@ -176,7 +177,7 @@ POOL_MIN_PIXELS = 1 << 17
 class ExtractReport:
     written: int
     failures: tuple  # (path, message) pairs in manifest order
-    workers: int     # threads that extracted; at most config.threads
+    workers: int     # threads that extracted, the calling thread included; at most config.threads
 
 
 def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractReport:
@@ -185,28 +186,56 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     Order is preserved.  An image that fails with DataError or OSError is
     recorded and skipped, so the output stays valid; callers must treat
     any failure as breaking the index alignment with the manifest.  Any
-    other exception cancels the images not yet started and propagates as
-    soon as its image's result is read.  config.threads caps the workers;
-    planes under POOL_MIN_PIXELS, or a single worker, run on this thread.
-    A config whose kernels do not fit its planes fails before any read.
+    other exception, KeyboardInterrupt included, stops the hand-out of
+    images; once each worker has finished its image, the exception of the
+    earliest such image in manifest order is raised and nothing is written.
+    The calling thread and workers - 1 helpers (min(config.threads, images)
+    workers, at most 1 under POOL_MIN_PIXELS) write each vector into its
+    float32 row of one array.  A config whose kernels do not fit its planes
+    fails before any read.
     """
     veclen = feature_length(config.width, config.height, config.scatter)
     records = read_manifest(manifest_path)
     load_labels(records, config.classes)
     small = config.width * config.height < POOL_MIN_PIXELS
-    workers = 1 if small else min(config.threads, len(records))
+    workers = min(1 if small else config.threads, len(records))
+    rows = np.empty((len(records), veclen), "<f4")
+    pending = list(range(len(records) - 1, -1, -1))  # popped from the end: manifest order
+    failures, errors = {}, {}
+    lock = threading.Lock()
 
-    def work(rec):
-        try:
-            return extract_features(_load_plane(config, rec.path), config.scatter), None
-        except (DataError, OSError) as exc:
-            return None, (rec.path, f"{type(exc).__name__}: {exc}")
+    def drain():
+        while True:
+            with lock:
+                if errors or not pending:
+                    return
+                i = pending.pop()
+            rec = records[i]
+            try:
+                rows[i] = extract_features(_load_plane(config, rec.path), config.scatter)
+            except (DataError, OSError) as exc:
+                failures[i] = (rec.path, f"{type(exc).__name__}: {exc}")
+            except BaseException as exc:
+                errors[i] = exc
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        outcomes = list((pool.map if pool else map)(work, records))
-    vectors = [vec for vec, _ in outcomes if vec is not None]
-    write_features(out_path, vectors, feature_config(config), veclen)
-    return ExtractReport(len(vectors), tuple(f for _, f in outcomes if f is not None), workers)
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            t = threading.Thread(target=drain)
+            t.start()
+            helpers.append(t)
+        drain()
+    finally:
+        with lock:
+            pending.clear()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    write_features(out_path, (rows[i] for i in range(len(records)) if i not in failures),
+                   feature_config(config), veclen)
+    return ExtractReport(len(records) - len(failures),
+                         tuple(failures[i] for i in sorted(failures)), workers)
 
 
 def _load_aligned(config: PipelineConfig, features_path, manifest_path):

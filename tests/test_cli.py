@@ -70,6 +70,17 @@ def test_extract_threads_flag_keeps_bytes(ws, tmp_path, monkeypatch, capsys):
         assert out_path.read_bytes() == ws["feat"].read_bytes()
 
 
+def test_extract_of_an_empty_manifest_uses_no_workers(ws, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    # the 64x64 config, then the default 1280x720 planes
+    for config in (["--config", str(ws["cfg"])], []):
+        out_path = tmp_path / "empty.feat"
+        assert main(["extract", "--manifest", str(empty), "--out", str(out_path),
+                     "--threads", "2", *config]) == 0
+        assert capsys.readouterr().out == f"wrote 0 feature records to {out_path} (0 workers)\n"
+
+
 def test_train_output_and_csv(ws, tmp_path, capsys):
     model = tmp_path / "m.bin"
     report = tmp_path / "r.csv"

@@ -239,6 +239,35 @@ def test_extract_thread_count_does_not_change_bytes(dataset, features, tmp_path,
             assert out.read_bytes() == features.read_bytes()
 
 
+def test_extract_hands_out_each_image_once_under_fast_thread_switching(dataset, features,
+                                                                      tmp_path, monkeypatch):
+    real = pipeline.extract_features
+    calls = []
+
+    def spy(plane, config):
+        calls.append(1)
+        return real(plane, config)
+
+    monkeypatch.setattr(pipeline, "extract_features", spy)
+    monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", 1)
+    out = tmp_path / "stress.feat"
+    reports = []
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # 8 workers on any core count; the caller is a thread too, so its wait can time out
+        caller = threading.Thread(target=lambda: reports.append(
+            run_extract(replace(CFG64, threads=8), dataset, out)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and reports[0].workers == 8
+    assert len(calls) == 30 and out.read_bytes() == features.read_bytes()
+    assert threading.active_count() == before
+
+
 def test_extract_picks_workers_from_plane_size_and_image_count(dataset, tmp_path,
                                                                monkeypatch):
     records = read_manifest(dataset)
@@ -264,8 +293,41 @@ def test_extract_picks_workers_from_plane_size_and_image_count(dataset, tmp_path
                          tmp_path / "pool.feat")
     used = {t for t, _ in seen}
     assert report.workers == 3 and len(seen) == 3
-    assert threading.main_thread() not in used and len(used) <= 3
+    # the calling thread is one of the workers, so at most workers - 1 more are alive
+    assert all(n <= before + report.workers - 1 for _, n in seen)
+    assert len(used) <= report.workers
     assert threading.active_count() == before
+
+
+def test_an_empty_manifest_reports_no_workers_at_any_plane_size(tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    for cfg in (PipelineConfig(threads=2), replace(CFG64, threads=2)):
+        out = tmp_path / f"{cfg.width}.feat"
+        report = run_extract(cfg, empty, out)
+        assert (report.written, report.failures, report.workers) == (0, (), 0)
+        veclen = feature_length(cfg.width, cfg.height, cfg.scatter)
+        assert read_features(out)[0].shape == (0, veclen)
+
+
+def test_extract_holds_one_float32_row_per_image(tmp_path, monkeypatch):
+    manifest = synth.synth_dataset(tmp_path / "data", per_class=24, width=64, height=64,
+                                   seed=3)
+    bound = 120 * feature_length(64, 64, CFG64.scatter) * 4 + 512 * 1024
+    # the calling thread alone, then a pool forced by a 1 px threshold
+    for min_pixels in (pipeline.POOL_MIN_PIXELS, 1):
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", min_pixels)
+        cfg = replace(CFG64, threads=2)
+        out = tmp_path / f"rows-{min_pixels}.feat"
+        run_extract(cfg, manifest, out)  # tap and plan caches fill outside the trace
+        tracemalloc.start()
+        try:
+            report = run_extract(cfg, manifest, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.written == 120 and report.workers == (2 if min_pixels == 1 else 1)
+        assert peak < bound, (min_pixels, peak, bound)
 
 
 def test_extract_records_failures_and_skips(dataset, tmp_path, monkeypatch):
@@ -333,6 +395,25 @@ def test_extract_fails_fast_on_an_unexpected_worker_error(dataset, tmp_path, mon
         assert 1 <= len(calls) <= most_calls
         assert threading.active_count() == before
         assert not (tmp_path / "out.feat").exists()
+
+
+def test_extract_joins_its_helpers_when_a_thread_cannot_start(dataset, tmp_path, monkeypatch):
+    start = threading.Thread.start
+    started = []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", 1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_extract(replace(CFG64, threads=3), dataset, tmp_path / "out.feat")
+    assert not started[0].is_alive() and threading.active_count() == before
+    assert not (tmp_path / "out.feat").exists()
 
 
 def test_extract_validates_labels_before_work(dataset, tmp_path):
