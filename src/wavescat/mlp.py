@@ -170,9 +170,13 @@ def train(model: MlpModel, features, labels, config: TrainConfig):
 
     Runs epochs full passes in shuffled mini-batches; deterministic for a
     fixed seed.  Returns (model, per-epoch mean loss history); the model is
-    updated in place and also returned.
+    updated in place and also returned.  Float32 features are kept as given
+    and each mini-batch is cast to float64, which is exact, so a feature
+    file's vectors are never copied whole.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
     if not np.issubdtype(y.dtype, np.integer):
         raise DataError(f"labels must be integers, got dtype {y.dtype}")
@@ -194,14 +198,16 @@ def train(model: MlpModel, features, labels, config: TrainConfig):
         total, seen = 0.0, 0
         for start in range(0, len(x), config.batch_size):
             batch = perm[start:start + config.batch_size]
-            loss, dws, dbs = _batch_loss_grads(model, x[batch], y[batch])
+            loss, dws, dbs = _batch_loss_grads(model, x[batch].astype(np.float64, copy=False),
+                                              y[batch])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step}")
-            for j in range(len(model.weights)):
-                vel_w[j] = config.momentum * vel_w[j] - config.learning_rate * dws[j]
-                vel_b[j] = config.momentum * vel_b[j] - config.learning_rate * dbs[j]
-                model.weights[j] += vel_w[j]
-                model.biases[j] += vel_b[j]
+            # v = momentum*v - lr*grad, in place: the gradients are this step's own
+            for v, grad, param in zip((*vel_w, *vel_b), (*dws, *dbs),
+                                      (*model.weights, *model.biases)):
+                np.multiply(v, config.momentum, out=v)
+                np.subtract(v, np.multiply(grad, config.learning_rate, out=grad), out=v)
+                param += v
             total += loss * len(batch)
             seen += len(batch)
             step += 1

@@ -4,7 +4,8 @@ evaluation, and the throughput benchmark.
 The heavy math lives in scattering/mlp; this module handles ordering,
 extraction workers, header/dimension consistency checks, and report
 assembly.  Worker count changes scheduling only, never results: each image
-is an isolated pure computation written into its own manifest-order row.
+is an isolated pure computation that extract_features(..., out=) writes
+straight into its own manifest-order float32 row.
 An unexpected error in any worker stops the hand-out of new images and is
 raised once every worker has finished the image it is on.
 """
@@ -129,8 +130,11 @@ def feature_config(config: PipelineConfig) -> bytes:
     return "".join(lines).encode()
 
 
-def extract_features(plane, config: ScatterConfig) -> np.ndarray:
-    return feature_vector(scatter(plane, config), config.selection)
+def extract_features(plane, config: ScatterConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """The feature vector of one plane: a new float64 vector, or, with
+    `out` (a 1D float32 or float64 array of the vector's length), the
+    vector written into `out`, which is returned."""
+    return feature_vector(scatter(plane, config), config.selection, out=out)
 
 
 def load_labels(records, classes) -> np.ndarray:
@@ -190,8 +194,9 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     images; once each worker has finished its image, the exception of the
     earliest such image in manifest order is raised and nothing is written.
     The calling thread and workers - 1 helpers (min(config.threads, images)
-    workers, at most 1 under POOL_MIN_PIXELS) write each vector into its
-    float32 row of one array.  A config whose kernels do not fit its planes
+    workers, at most 1 under POOL_MIN_PIXELS) write each vector straight
+    into its float32 row of one array (extract_features' out=), with no
+    float64 vector in between.  A config whose kernels do not fit its planes
     fails before any read.
     """
     veclen = feature_length(config.width, config.height, config.scatter)
@@ -212,7 +217,7 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
                 i = pending.pop()
             rec = records[i]
             try:
-                rows[i] = extract_features(_load_plane(config, rec.path), config.scatter)
+                extract_features(_load_plane(config, rec.path), config.scatter, out=rows[i])
             except (DataError, OSError) as exc:
                 failures[i] = (rec.path, f"{type(exc).__name__}: {exc}")
             except BaseException as exc:

@@ -26,10 +26,19 @@ pair costs one add (or subtract) of its two inputs and one multiply.  It
 sums the folded pairs (0, k-1), (1, k-2), ... and then the middle tap;
 the taps of a kernel without mirrored pairs are summed in order 0..k-1.
 Both engines are deterministic and shift-equivariant bit for bit, under
-any number of BLAS threads, but their roundings differ.  _pass_plan lays
-one pass out and picks its engine; _conv_plan resolves a convolution's
-checks and lays out both of its passes once per kernel, plane shape,
-boundary and stride.
+any number of BLAS threads, but their roundings differ.  A convolution
+whose two passes are both tap loops runs in bands of output rows: each
+band's row pass makes only the input rows, halo included, that the band's
+column pass reads, and the column pass writes straight into the band of
+the output, so no plane-sized row-pass output is made.  Any other
+convolution runs each pass over the whole plane.  _pass_plan lays one
+whole-plane pass out and picks its engine, _band_plan lays out a banded
+convolution, and _conv_plan resolves a convolution's checks and its layout
+once per kernel, plane shape, boundary and stride.
+
+scatter() frees each intermediate A plane once its last consumer has run,
+and feature_vector(..., out=) writes the selected planes straight into a
+caller's float32 or float64 vector.
 """
 
 from __future__ import annotations
@@ -176,9 +185,9 @@ def _check_fit(shape: tuple[int, int], kernel: Kernel2D, s: int):
                 f"(needs {pad_lo}+{pad_hi} extension on an axis of {n})")
 
 
-# Output samples per block of a tap-loop pass (256 KiB of float64): the
-# block's tap products stay in cache instead of streaming plane-sized
-# temporaries.
+# Row-pass outputs per band of a tap-loop convolution (256 KiB of float64):
+# a band's row-pass output and its term scratch stay in cache instead of
+# streaming plane-sized intermediates.
 _BLOCK = 1 << 15
 # The engine rule, from README's tap sweep: see _runs_as_gemm.  A plan keeps
 # the _BLOCK and the engine it was built with, so patching _BLOCK or either
@@ -201,6 +210,20 @@ def _runs_as_gemm(taps: int, in_shape: tuple[int, int]) -> bool:
         taps >= GEMM_MIN_TAPS or (taps >= 3 and rows * cols >= GEMM_MIN_PIXELS))
 
 
+def _extension(n: int, kernel: Kernel2D, boundary: str, s: int):
+    """(output length, whether the axis is extended, the input index of
+    each sample of the extended axis) of one pass over n samples."""
+    m, pad_lo, pad_hi = _pads(n, len(kernel.factor), kernel.origin, s)
+    if boundary == "symmetric":
+        # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
+        lo = np.arange(pad_lo - 1, -1, -1)
+        hi = np.arange(n - 1, n - 1 - pad_hi, -1)
+    else:
+        lo = np.arange(-pad_lo, 0) % n
+        hi = np.arange(n, n + pad_hi) % n
+    return m, bool(pad_lo or pad_hi), np.concatenate((lo, np.arange(n), hi))
+
+
 def _tap_terms(factor) -> list[tuple[int, int | None, np.ufunc | None]]:
     """The tap loop's terms in summation order, as (tap, mirror tap, fold).
     First each folded pair (t, k-1-t), by t: fold is np.add where the two
@@ -219,6 +242,34 @@ def _tap_terms(factor) -> list[tuple[int, int | None, np.ufunc | None]]:
     return pairs + [(t, None, None) for t in range(k) if t not in folded]
 
 
+def _tap_plan(kernel: Kernel2D, m: int, s: int, axis: int):
+    """The tap loop's terms for m outputs along `axis` of an extended input:
+    per term, the input slice of its tap and of its mirror tap, the fold
+    and the tap's coefficient."""
+    taps = [slice(t, t + (m - 1) * s + 1, s) for t in range(len(kernel.factor))]
+    if axis:
+        taps = [(slice(None), tap) for tap in taps]
+    return [(taps[t], None if u is None else taps[u], fold, kernel.coefficients[t])
+            for t, u, fold in _tap_terms(kernel.factor)]
+
+
+def _tap_sum(terms, ext: np.ndarray, out: np.ndarray, scratch: np.ndarray | None):
+    """Write the sum of `terms` over `ext` into `out`, in the terms' order:
+    the first term is made in `out`, and each later one is made in
+    scratch[:len(out)] and added.  Each output's bits depend only on its
+    own inputs, so they are the same in any band and any plane."""
+    acc = term = out
+    for i, (src, mirror, fold, c) in enumerate(terms):
+        if i == 1:
+            term = scratch[:len(out)]
+        if fold is None:
+            np.multiply(ext[src], c, term)
+        else:
+            np.multiply(fold(ext[src], ext[mirror], term), c, term)
+        if i:
+            np.add(acc, term, acc)
+
+
 def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
                axis: int):
     """One decimating 1D pass of `kernel` along `axis` over planes of
@@ -229,28 +280,15 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
     axis one GEMM per tile of _TILE outputs across the whole plane: (rows x
     span) @ (span x _TILE) for a row pass (axis 1), (_TILE x span) @ (span x
     cols) for a column pass (axis 0).  Every other pass is a tap loop over
-    blocks of about _BLOCK outputs, reading the plane in place when this
-    axis needs no boundary extension.  The tap loop sums each output's
-    terms (_tap_terms) in one fixed order: the first term is written into
-    the output block, and each later one is made in a block scratch and
-    added.  So its bits do not depend on the block size.  The
-    GEMM rounds through fused multiply-adds, so its outputs differ from the
-    tap loop's in the last bits (about 4e-16 relative); it computes every
-    output the same way, whatever the output's position or the number of
-    BLAS threads."""
+    the whole plane (_tap_sum), reading the plane in place when this axis
+    needs no boundary extension.  The GEMM rounds through fused
+    multiply-adds, so its outputs differ from the tap loop's in the last
+    bits (about 4e-16 relative); it computes every output the same way,
+    whatever the output's position or the number of BLAS threads."""
     coeffs, o = kernel.coefficients, kernel.origin
     k, n = len(coeffs), in_shape[axis]
-    m, pad_lo, pad_hi = _pads(n, k, o, s)
-    if boundary == "symmetric":
-        # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
-        lo = np.arange(pad_lo - 1, -1, -1)
-        hi = np.arange(n - 1, n - 1 - pad_hi, -1)
-    else:
-        lo = np.arange(-pad_lo, 0) % n
-        hi = np.arange(n, n + pad_hi) % n
-    extended = np.concatenate((lo, np.arange(n), hi))  # the input index of each extended one
-
-    rows, cols = out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
+    m, padded, extended = _extension(n, kernel, boundary, s)
+    out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
     if _runs_as_gemm(k, in_shape):
         # Tile j of _TILE outputs reads a window of `span` inputs, from input
         # j*hop - o on.  Column b of the band holds the taps at rows b*s ..
@@ -296,52 +334,76 @@ def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: in
             return out
         return gemm_pass
 
-    step = max(1, _BLOCK // cols)
-    terms = _tap_terms(kernel.factor)
-    # (output rows, scratch rows, per term: the input index of its tap and
-    # of the mirror tap, the fold and the tap's coefficient)
-    blocks = []
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        if axis == 0:
-            taps = [slice(r0 * s + t, (r1 - 1) * s + t + 1, s) for t in range(k)]
-        else:
-            taps = [(slice(r0, r1), slice(t, t + (m - 1) * s + 1, s)) for t in range(k)]
-        blocks.append((slice(r0, r1), slice(0, r1 - r0),
-                       [(taps[t], None if u is None else taps[u], fold, coeffs[t])
-                        for t, u, fold in terms]))
+    terms = _tap_plan(kernel, m, s, axis)
 
     def tap_loop(x: np.ndarray) -> np.ndarray:
-        ext = x.take(extended, axis) if pad_lo or pad_hi else x
         out = np.empty(out_shape)
-        tmp = np.empty((min(step, rows), cols)) if len(terms) > 1 else None
-        for dst, scratch, block_terms in blocks:
-            acc = term = out[dst]
-            for i, (src, mirror, fold, c) in enumerate(block_terms):
-                if i == 1:
-                    term = tmp[scratch]
-                if fold is None:
-                    np.multiply(ext[src], c, term)
-                else:
-                    np.multiply(fold(ext[src], ext[mirror], term), c, term)
-                if i:
-                    np.add(acc, term, acc)
+        _tap_sum(terms, x.take(extended, axis) if padded else x, out,
+                 np.empty(out_shape) if len(terms) > 1 else None)
+        return out
+    return tap_loop
+
+
+def _band_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, s: int):
+    """A convolution whose two passes are both tap loops, laid out once as
+    bands of output rows: returns a function that maps a plane of `shape`
+    to a freshly allocated output.
+
+    A band of b output rows reads (b-1)*s + k input rows, halo included,
+    through the row axis's extension index: a slice of the plane where
+    they lie inside it in order, a gathered copy at a boundary.  The row
+    pass makes just those rows into a band buffer of about _BLOCK samples,
+    and the column pass reads that buffer and writes straight into the
+    band's rows of the output.  Every band but a shorter last one shares
+    one list of column-pass terms, and all share the row pass's."""
+    k = len(kernel.factor)
+    m_w, cols_padded, cols = _extension(shape[1], kernel, boundary, s)
+    m_h, _, rows = _extension(shape[0], kernel, boundary, s)
+    step = max(1, (_BLOCK // m_w - k) // s + 1)  # output rows per band
+    row_terms, column_terms, bands = _tap_plan(kernel, m_w, s, 1), {}, []
+    for r0 in range(0, m_h, step):
+        b = min(step, m_h - r0)
+        src = rows[r0 * s:(r0 + b - 1) * s + k]
+        if (np.diff(src) == 1).all():
+            src = slice(int(src[0]), int(src[-1]) + 1)
+        if b not in column_terms:
+            column_terms[b] = _tap_plan(kernel, b, s, 0)
+        bands.append((slice(r0, r0 + b), src, column_terms[b]))
+    # the first band reads the most input rows
+    out_shape, mid_shape = (m_h, m_w), ((min(step, m_h) - 1) * s + k, m_w)
+
+    def tap_loop(x: np.ndarray) -> np.ndarray:
+        out, mid = np.empty(out_shape), np.empty(mid_shape)
+        scratch = np.empty(mid_shape) if len(row_terms) > 1 else None
+        for dst, src, terms in bands:
+            band = x[src] if isinstance(src, slice) else x.take(src, 0)
+            if cols_padded:
+                band = band.take(cols, 1)
+            rows_out = mid[:len(band)]
+            _tap_sum(row_terms, band, rows_out, scratch)
+            _tap_sum(terms, rows_out, out[dst], scratch)
         return out
     return tap_loop
 
 
 # One entry per convolution of a cascade: the default makes 8 per plane size.
 # An entry holds index arrays no longer than the extended axes and, for a
-# tap loop, one slice per tap per block.
+# tap loop, one slice per tap per band length.
 @lru_cache(maxsize=256)
 def _conv_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, decimate: int):
-    """The row pass and the column pass of one conv2_decimated over planes
-    of `shape`, once the stride, the boundary mode and the kernel's fit to
-    both axes are checked."""
+    """One conv2_decimated over planes of `shape`, once the stride, the
+    boundary mode and the kernel's fit to both axes are checked: a function
+    that maps such a plane to a fresh output.  A convolution whose passes
+    are both tap loops runs in bands of output rows (_band_plan); any other
+    runs its row pass and then its column pass over the whole plane."""
     s = _checked_stride(boundary, decimate)  # checks the boundary mode too
     _check_fit(shape, kernel, s)
-    return (_pass_plan(kernel, shape, boundary, s, 1),
-            _pass_plan(kernel, (shape[0], _out_len(shape[1], s)), boundary, s, 0))
+    k, mid = len(kernel.factor), (shape[0], _out_len(shape[1], s))
+    if not (_runs_as_gemm(k, shape) or _runs_as_gemm(k, mid)):
+        return _band_plan(kernel, shape, boundary, s)
+    row_pass, column_pass = (_pass_plan(kernel, shape, boundary, s, 1),
+                             _pass_plan(kernel, mid, boundary, s, 0))
+    return lambda x: column_pass(row_pass(x))
 
 
 def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
@@ -366,11 +428,11 @@ def conv2_decimated(plane, kernel: Kernel2D, boundary: str = "symmetric",
     """
     x = validate_plane(plane)
     try:
-        row_pass, column_pass = _conv_plan(kernel, x.shape, boundary, decimate)
+        conv = _conv_plan(kernel, x.shape, boundary, decimate)
     except TypeError:  # an unhashable argument, which the checks reject by name
         _checked_stride(boundary, decimate)
         raise
-    return column_pass(row_pass(x))
+    return conv(x)
 
 
 class Step(NamedTuple):
@@ -419,12 +481,24 @@ def kernel_bank(config: ScatterConfig) -> dict[tuple[str, int], Kernel2D]:
     return bank
 
 
+@lru_cache(maxsize=64)
+def _run_order(config: ScatterConfig) -> tuple[tuple[Step, bool], ...]:
+    """cascade_steps(config), each step paired with whether it is the last
+    consumer of its source, where that source is an intermediate A plane."""
+    steps = cascade_steps(config)
+    last = {step.src: i for i, step in enumerate(steps)}
+    return tuple((step, step.src.startswith("A") and last[step.src] == i)
+                 for i, step in enumerate(steps))
+
+
 def scatter(plane, config: ScatterConfig) -> ScatterOutput:
-    """Run cascade_steps(config) on one plane."""
+    """Run cascade_steps(config) on one plane.  An intermediate A plane
+    leaves the table once its last consumer has run, so it is freed while
+    the rest of the cascade runs."""
     planes = {"x": validate_plane(plane)}
     bank = kernel_bank(config)
-    for step in cascade_steps(config):
-        y = planes[step.src]
+    for step, drop in _run_order(config):
+        y = planes.pop(step.src) if drop else planes[step.src]
         fresh = step.kernel is not None
         if fresh:
             y = conv2_decimated(y, bank[step.kernel], config.boundary, step.decimate)
@@ -438,16 +512,27 @@ def scatter(plane, config: ScatterConfig) -> ScatterOutput:
                          tuple(planes[f"S{n}"] for n in levels))
 
 
-def feature_vector(output: ScatterOutput, selection) -> np.ndarray:
+def feature_vector(output: ScatterOutput, selection, out: np.ndarray | None = None) -> np.ndarray:
     """Flatten the selected planes into one vector.
 
     Planes are concatenated in declared order (S0, U1..Um, S1..Sm) regardless
-    of the order names appear in `selection`; each plane is row-major.
+    of the order names appear in `selection`; each plane is row-major.  With
+    `out`, a 1D float32 or float64 array of the vector's length, each plane
+    is written into its slice of `out`, rounded as astype would round it,
+    and `out` is returned; otherwise the vector is a new float64 array.
     """
     wanted = set(selection)
     valid = _check_selection(wanted, len(output.u_levels))
-    planes = zip(valid, (output.s0, *output.u_levels, *output.s_levels))
-    return np.concatenate([p.ravel() for name, p in planes if name in wanted])
+    picked = [p for name, p in zip(valid, (output.s0, *output.u_levels, *output.s_levels))
+              if name in wanted]
+    if out is not None:
+        size = sum(p.size for p in picked)
+        if not (isinstance(out, np.ndarray) and out.dtype in (np.float32, _FLOAT64)
+                and out.shape == (size,)):
+            got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+            raise DataError(f"out must be a 1D float32 or float64 array of {size} values, "
+                            f"got {got}")
+    return np.concatenate([p.ravel() for p in picked], out=out)  # same_kind: rounds as astype
 
 
 def plane_dims(width: int, height: int, config: ScatterConfig) -> dict[str, tuple[int, int]]:

@@ -244,9 +244,9 @@ def test_extract_hands_out_each_image_once_under_fast_thread_switching(dataset, 
     real = pipeline.extract_features
     calls = []
 
-    def spy(plane, config):
+    def spy(plane, config, out=None):
         calls.append(1)
-        return real(plane, config)
+        return real(plane, config, out=out)
 
     monkeypatch.setattr(pipeline, "extract_features", spy)
     monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS", 1)
@@ -276,9 +276,9 @@ def test_extract_picks_workers_from_plane_size_and_image_count(dataset, tmp_path
     real = pipeline.extract_features
     seen = []
 
-    def spy(plane, config):
+    def spy(plane, config, out=None):
         seen.append((threading.current_thread(), threading.active_count()))
-        return real(plane, config)
+        return real(plane, config, out=out)
 
     monkeypatch.setattr(pipeline, "extract_features", spy)
     before = threading.active_count()
@@ -377,12 +377,13 @@ def test_extract_fails_fast_on_an_unexpected_worker_error(dataset, tmp_path, mon
     first = load_image_channel(records[0].path, "B")
     calls = []
 
-    def flaky(plane, config):
+    def flaky(plane, config, out=None):
         calls.append(1)
         if np.array_equal(plane, first):
             raise RuntimeError("boom on the first image")
         time.sleep(0.01)
-        return np.zeros(feature_length(64, 64, config))
+        out[:] = 0.0
+        return out
 
     monkeypatch.setattr(pipeline, "extract_features", flaky)
     before = threading.active_count()
@@ -693,6 +694,43 @@ def test_extract_takes_integer_and_boolean_planes_as_float64():
     assert extract_features(x.tolist(), CFG64.scatter).tobytes() == want.tobytes()
     assert extract_features(x > 99, CFG64.scatter).tobytes() == extract_features(
         (x > 99).astype(np.float64), CFG64.scatter).tobytes()
+
+
+def test_extract_writes_its_vector_into_out():
+    """With out=, the vector lands in the caller's array, which is returned:
+    a float32 row holds the bytes that astype("<f4") makes of the float64
+    vector, and a float64 one the vector itself.  An out of another length,
+    dtype or rank ends in DataError."""
+    x = np.random.default_rng(3).random((64, 64))
+    want = extract_features(x, CFG64.scatter)
+    for dtype, cast in ((np.float32, want.astype("<f4")), (np.float64, want)):
+        out = np.full(want.size, np.nan, dtype)
+        assert extract_features(x, CFG64.scatter, out=out) is out
+        assert out.tobytes() == cast.tobytes()
+    bad = [np.empty(want.size - 1, np.float32), np.empty(want.size + 1), np.empty(want.size, np.int32),
+           np.empty(want.size, np.float16), np.empty((1, want.size), np.float32), [0.0] * want.size]
+    for out in bad:
+        with pytest.raises(DataError, match=f"out must be a 1D float32 or float64 array of "
+                                            f"{want.size} values"):
+            extract_features(x, CFG64.scatter, out=out)
+
+
+def test_a_720p_extract_peaks_under_its_memory_budget():
+    """One default 1280x720 extract_features, with its plans built, peaks
+    under 7.5 MiB in tracemalloc: the full-resolution convolutions run in
+    row bands instead of making 3.7 MB row-pass planes, and scatter drops
+    each A plane after its last use.  Whole-plane passes and kept A planes
+    peaked at 8.91 MiB."""
+    x = np.random.default_rng(4).random((720, 1280))
+    cfg = ScatterConfig()
+    extract_features(x, cfg)  # builds and caches every plan
+    tracemalloc.start()
+    try:
+        extract_features(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
 
 
 @pytest.mark.parametrize("run", ["eval", "infer", "bench"])

@@ -312,6 +312,41 @@ def test_tap_loop_matches_brute_property(case):
     assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
 
 
+@st.composite
+def _band_cases(draw):
+    """A bank kernel, a boundary, a stride of 1-3, a plane of 1-130 rows and
+    columns that the kernel fits, and a _BLOCK from 1 sample to more than
+    the plane holds."""
+    kern = _kern(draw(st.sampled_from(BASES)), draw(st.sampled_from([SCALE, WAVELET_DIAGONAL])))
+    boundary = draw(st.sampled_from(["symmetric", "periodic"]))
+    s = draw(st.integers(1, 3))
+    fits = st.integers(1, 130).filter(lambda n: max(_reach(n, kern, s)) <= n)
+    h, w = draw(fits), draw(fits)
+    block = draw(st.integers(1, 2 * h * w))
+    return kern, boundary, s, h, w, block, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@given(_band_cases())
+@example((_kern("bior2.6", SCALE), "symmetric", 1, 130, 129, 1, 0))  # one row per band, 13 taps
+@example((_kern("bior2.2", SCALE), "periodic", 2, 127, 129, 300, 1))  # wrapped halos
+@example((_kern("bior1.3", WAVELET_DIAGONAL), "symmetric", 3, 1, 130, 7, 2))  # one input row
+@example((_kern("bior1.1", WAVELET_DIAGONAL), "symmetric", 2, 129, 1, 1, 3))  # one column
+def test_banded_convolution_is_bitwise_the_whole_plane_passes(case):
+    """With both passes on the tap loop, a convolution runs in bands of
+    output rows, each reading its input rows and halo through the row
+    axis's extension; whatever the band height, its bytes are the whole-plane
+    row pass and then the whole-plane column pass."""
+    kern, boundary, s, h, w, block, seed = case
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    with _replanned(_BLOCK=block, **_NO_GEMM):
+        got = conv2_decimated(x, kern, boundary, s)
+    rows = _unblocked_pass(x, kern.factor, kern.origin, boundary, s, axis=1)
+    want = _unblocked_pass(rows, kern.factor, kern.origin, boundary, s, axis=0)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_every_bank_kernel_folds_every_pair():
     """Every filter of the bank is linear-phase: each tap is bitwise its
     mirror tap or its negation, so the tap loop folds all k // 2 pairs and
@@ -549,8 +584,9 @@ def test_one_plan_per_kernel_shape_and_stride():
         assert plan is scattering._conv_plan(make_kernel2d(pair, SCALE, unit_dc=True), x.shape,
                                              "symmetric", s)
         plans.add(plan)
-        want = _unblocked_pass(x, kern.factor, kern.origin, "symmetric", s, axis=1)
-        assert oracles.rel_err(plan[0](x), want) <= 1e-12  # the GEMM row pass
+        rows = _unblocked_pass(x, kern.factor, kern.origin, "symmetric", s, axis=1)
+        want = _unblocked_pass(rows, kern.factor, kern.origin, "symmetric", s, axis=0)
+        assert oracles.rel_err(plan(x), want) <= 1e-12  # both passes are GEMMs
     assert len(plans) == 3
 
 
@@ -578,20 +614,20 @@ def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
     assert len(plans) == 3
 
 
-def test_patched_block_changes_the_plan_blocks():
+def test_patched_block_changes_the_plan_bands():
     kern = _kern("bior2.2", SCALE)
-    x = np.random.default_rng(5).standard_normal((24, 40))
-    key = (kern, x.shape, "symmetric", 2)  # its row pass: 24 rows of 20 outputs
+    x = np.random.default_rng(5).standard_normal((48, 40))
+    key = (kern, x.shape, "symmetric", 2)  # 24 rows of 20 outputs, both passes tap loops
 
-    def blocks(plan):
-        return len(inspect.getclosurevars(plan[0]).nonlocals["blocks"])
+    def bands(plan):
+        return len(inspect.getclosurevars(plan).nonlocals["bands"])
 
-    with _replanned(_BLOCK=1 << 15):  # all 480 outputs in one block
+    with _replanned(_BLOCK=1 << 15):  # all 24 output rows in one band
         whole, plan = conv2_decimated(x, kern, "symmetric", 2), scattering._conv_plan(*key)
-    with _replanned(_BLOCK=20):  # one row of outputs per block
-        split, blocked = conv2_decimated(x, kern, "symmetric", 2), scattering._conv_plan(*key)
-    assert (blocks(plan), blocks(blocked)) == (1, 24)
-    assert scattering._conv_plan(*key) is not blocked  # dropped when the patch ends
+    with _replanned(_BLOCK=20):  # one row of outputs per band
+        split, banded = conv2_decimated(x, kern, "symmetric", 2), scattering._conv_plan(*key)
+    assert (bands(plan), bands(banded)) == (1, 24)
+    assert scattering._conv_plan(*key) is not banded  # dropped when the patch ends
     assert whole.tobytes() == split.tobytes()
 
 

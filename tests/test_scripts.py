@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script, args, header", [
     ("tap_sweep.py", ["--sizes", "64x64", "--taps", "2", "13", "--rounds", "1"],
-     "| axis | taps | size | tap loop ms | GEMM ms | GEMM / loop | GEMM wins |"),
+     "| taps | size | tap loop ms | GEMM ms | GEMM / loop | GEMM wins |"),
     ("worker_sweep.py", ["--sizes", "128x128", "--rounds", "1", "--mpx", "0.1"],
      "| size | pixels | images | pool / serial | pool wins |"),
     ("compare_variants.py", ["--per-class", "2", "--epochs", "1", "--work", "{tmp}"],
