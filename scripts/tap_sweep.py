@@ -1,17 +1,18 @@
 """Tap loop versus GEMM, per kernel length and plane size.
 
 For each kernel and plane, times one decimating convolution, built by
-scattering._conv_plan, with both passes on the tap loop and with both on
-the GEMM, in alternating rounds.  The tap loop runs as extract runs it: in
-bands of output rows, each band's row pass feeding its column pass.  Each
-path is forced through the engine rule (scattering._runs_as_gemm) by
-setting its constants, GEMM_MIN_TAPS and GEMM_MIN_PIXELS, to extremes
-before the convolution is built, so the table shows where the rule's
-thresholds should sit.  The kernels are the filter bank's: bior1.1's
-low-pass (2 taps), bior2.2's high-pass (3), bior2.2's low-pass (5),
-bior1.3's low-pass (6) and bior2.6's low-pass (13), all with the symmetric
-boundary.  Prints each path's median time and how many rounds the GEMM
-won.  BLAS runs on one thread, as in the benchmark:
+scattering._conv_plan, on the tap loop and as two GEMM passes, in
+alternating rounds.  The tap loop runs as extract runs it: in bands of
+output rows, each band's row pass feeding its column pass.  Each engine
+is forced through the rule that picks it once per convolution
+(scattering._runs_as_gemm) by setting the rule's constants,
+GEMM_MIN_TAPS and GEMM_MIN_PIXELS, to extremes before the convolution is
+built, so the table shows where the rule's thresholds should sit.  The
+kernels are the filter bank's: bior1.1's low-pass (2 taps), bior2.2's
+high-pass (3), bior2.2's low-pass (5), bior1.3's low-pass (6) and
+bior2.6's low-pass (13), all with the symmetric boundary.  Prints each
+engine's median time and how many rounds the GEMM won.  BLAS runs on one
+thread, as in the benchmark:
 
     PYTHONPATH=src python scripts/tap_sweep.py [--sizes WxH ...] [--taps K ...]
 """
@@ -32,15 +33,14 @@ from wavescat.filters import SCALE, WAVELET_DIAGONAL, make_filter_pair, make_ker
 
 KERNELS = {2: ("bior1.1", SCALE), 3: ("bior2.2", WAVELET_DIAGONAL), 5: ("bior2.2", SCALE),
            6: ("bior1.3", SCALE), 13: ("bior2.6", SCALE)}
-SIZES = ("64x64", "320x180", "640x360", "1280x720")
+# 320x240 is the plane of a 640x480 image's level-2 convolutions
+SIZES = ("64x64", "320x180", "320x240", "640x360", "1280x720")
 
 
 def seconds(x, kernel, stride, gemm, repeats):
     k = len(kernel.factor)
-    # at these extremes the rule sends both passes of this kernel one way
+    # at these extremes the rule sends this convolution one way
     scattering.GEMM_MIN_TAPS, scattering.GEMM_MIN_PIXELS = (1, 0) if gemm else (k + 1, x.size + 1)
-    mid = (x.shape[0], -(-x.shape[1] // stride))  # the column pass's input
-    assert scattering._runs_as_gemm(k, x.shape) == scattering._runs_as_gemm(k, mid) == gemm
     scattering._conv_plan.cache_clear()
     conv = scattering._conv_plan(kernel, x.shape, "symmetric", stride)
     t0 = time.perf_counter()

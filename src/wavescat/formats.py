@@ -247,14 +247,16 @@ def write_manifest(path, records):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Plain key=value lines; # starts a comment; blank lines ignored."""
-    out: dict[str, str] = {}
+    """Plain key=value lines, each key once; # starts a comment; blank lines ignored."""
+    out: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise DataError(f"{path}:{lineno}: key {key!r} already set on line {out[key][0]}")
+        out[key] = lineno, val
+    return {key: val for key, (_, val) in out.items()}

@@ -196,15 +196,20 @@ def run_extract(config: PipelineConfig, manifest_path, out_path) -> ExtractRepor
     The calling thread and workers - 1 helpers (min(config.threads, images)
     workers, at most 1 under POOL_MIN_PIXELS) write each vector straight
     into its float32 row of one array (extract_features' out=), with no
-    float64 vector in between.  A config whose kernels do not fit its planes
-    fails before any read.
+    float64 vector in between.  A config whose kernels do not fit its planes,
+    or whose rows cannot be allocated, fails before any image is read.
     """
     veclen = feature_length(config.width, config.height, config.scatter)
     records = read_manifest(manifest_path)
     load_labels(records, config.classes)
     small = config.width * config.height < POOL_MIN_PIXELS
     workers = min(1 if small else config.threads, len(records))
-    rows = np.empty((len(records), veclen), "<f4")
+    try:
+        rows = np.empty((len(records), veclen), "<f4")
+    except (ValueError, MemoryError):  # a shape numpy cannot hold, or memory it cannot get
+        raise DataError(f"{config.width}x{config.height} images give {veclen} features each; "
+                        f"{len(records)} float32 rows of them ({4 * veclen * len(records)} "
+                        "bytes) cannot be allocated") from None
     pending = list(range(len(records) - 1, -1, -1))  # popped from the end: manifest order
     failures, errors = {}, {}
     lock = threading.Lock()

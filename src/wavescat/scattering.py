@@ -16,25 +16,19 @@ config.decimate per axis (output length ceil(n/decimate), first output
 sample aligned at input index 0); the smoothing convolution that produces
 S maps decimates once more unless smooth_decimate is off.
 
-Each convolution is a row pass and then a column pass.  A pass runs as
-fixed-shape BLAS GEMMs when its kernel has at least GEMM_MIN_TAPS taps
-(bior2.6's 13-tap low-pass), or 3 or more taps over a plane of at least
-GEMM_MIN_PIXELS samples; every other pass is a tap loop of numpy ufunc
-calls.  The tap loop folds mirrored taps: every filter in the bank is
-linear-phase, so taps t and k-1-t are bitwise equal or negated, and such a
-pair costs one add (or subtract) of its two inputs and one multiply.  It
-sums the folded pairs (0, k-1), (1, k-2), ... and then the middle tap;
-the taps of a kernel without mirrored pairs are summed in order 0..k-1.
-Both engines are deterministic and shift-equivariant bit for bit, under
-any number of BLAS threads, but their roundings differ.  A convolution
-whose two passes are both tap loops runs in bands of output rows: each
-band's row pass makes only the input rows, halo included, that the band's
-column pass reads, and the column pass writes straight into the band of
-the output, so no plane-sized row-pass output is made.  Any other
-convolution runs each pass over the whole plane.  _pass_plan lays one
-whole-plane pass out and picks its engine, _band_plan lays out a banded
-convolution, and _conv_plan resolves a convolution's checks and its layout
-once per kernel, plane shape, boundary and stride.
+Each convolution is a row pass and then a column pass, both on one
+engine, which _runs_as_gemm picks once per convolution: a kernel of at
+least GEMM_MIN_TAPS taps (bior2.6's 13-tap low-pass), or of 3 or more
+taps over a plane of at least GEMM_MIN_PIXELS samples, runs as two passes
+of fixed-shape BLAS GEMMs (_gemm_pass).  Every other convolution is a
+tap loop of numpy ufunc calls in bands of output rows (_band_plan), so no
+plane-sized row-pass output is made.  The tap loop folds mirrored taps
+(_tap_terms): every filter in the bank is linear-phase, so a pair of
+bitwise equal or negated taps costs one add (or subtract) and one
+multiply.  Both engines are deterministic and shift-equivariant bit for
+bit, under any number of BLAS threads, but their roundings differ.
+_conv_plan resolves a convolution's checks, engine and layout once per
+kernel, plane shape, boundary and stride.
 
 scatter() frees each intermediate A plane once its last consumer has run,
 and feature_vector(..., out=) writes the selected planes straight into a
@@ -199,20 +193,22 @@ GEMM_MIN_PIXELS = 1 << 16
 _TILE = 8
 
 
-def _runs_as_gemm(taps: int, in_shape: tuple[int, int]) -> bool:
-    """Whether a pass of `taps` taps over planes of `in_shape` runs as tile
-    GEMMs: with at least GEMM_MIN_TAPS taps, or with 3 or more on a plane
-    of at least GEMM_MIN_PIXELS samples.  Every other pass is a tap loop,
-    and so is every pass over one row or one column: there a GEMM would be
-    a vector-matrix or matrix-vector product, which sums in another order."""
-    rows, cols = in_shape
-    return rows > 1 and cols > 1 and (
+def _runs_as_gemm(taps: int, shape: tuple[int, int], s: int) -> bool:
+    """Whether a convolution of `taps` taps at stride s over planes of
+    `shape` runs as two tile-GEMM passes: with at least GEMM_MIN_TAPS taps,
+    or with 3 or more on a plane of at least GEMM_MIN_PIXELS samples.
+    Every other convolution is a banded tap loop, and so is every one over
+    one row, or whose column pass's plane (shape[0] x ceil(cols/s)) has one
+    column: there a GEMM would be a vector-matrix or matrix-vector product,
+    which sums in another order."""
+    rows, cols = shape
+    return rows > 1 and cols > s and (
         taps >= GEMM_MIN_TAPS or (taps >= 3 and rows * cols >= GEMM_MIN_PIXELS))
 
 
 def _extension(n: int, kernel: Kernel2D, boundary: str, s: int):
-    """(output length, whether the axis is extended, the input index of
-    each sample of the extended axis) of one pass over n samples."""
+    """(output length, the input index of each sample of the extended axis)
+    of one pass over n samples."""
     m, pad_lo, pad_hi = _pads(n, len(kernel.factor), kernel.origin, s)
     if boundary == "symmetric":
         # half-sample mirror, single fold only: t<0 -> -t-1, t>=n -> 2n-1-t
@@ -221,7 +217,7 @@ def _extension(n: int, kernel: Kernel2D, boundary: str, s: int):
     else:
         lo = np.arange(-pad_lo, 0) % n
         hi = np.arange(n, n + pad_hi) % n
-    return m, bool(pad_lo or pad_hi), np.concatenate((lo, np.arange(n), hi))
+    return m, np.concatenate((lo, np.arange(n), hi))
 
 
 def _tap_terms(factor) -> list[tuple[int, int | None, np.ufunc | None]]:
@@ -270,84 +266,72 @@ def _tap_sum(terms, ext: np.ndarray, out: np.ndarray, scratch: np.ndarray | None
             np.add(acc, term, acc)
 
 
-def _pass_plan(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
+def _gemm_pass(kernel: Kernel2D, in_shape: tuple[int, int], boundary: str, s: int,
                axis: int):
     """One decimating 1D pass of `kernel` along `axis` over planes of
-    `in_shape`, laid out once: returns a function that maps such a plane to
-    a freshly allocated output and never writes the plane.
+    `in_shape` as tile GEMMs, laid out once: returns a function that maps
+    such a plane to a freshly allocated output and never writes the plane.
 
-    Where _runs_as_gemm says so, the pass runs as tile GEMMs, on either
-    axis one GEMM per tile of _TILE outputs across the whole plane: (rows x
-    span) @ (span x _TILE) for a row pass (axis 1), (_TILE x span) @ (span x
-    cols) for a column pass (axis 0).  Every other pass is a tap loop over
-    the whole plane (_tap_sum), reading the plane in place when this axis
-    needs no boundary extension.  The GEMM rounds through fused
-    multiply-adds, so its outputs differ from the tap loop's in the last
-    bits (about 4e-16 relative); it computes every output the same way,
-    whatever the output's position or the number of BLAS threads."""
+    On either axis the pass is one GEMM per tile of _TILE outputs across
+    the whole plane: (rows x span) @ (span x _TILE) for a row pass (axis 1),
+    (_TILE x span) @ (span x cols) for a column pass (axis 0).  The GEMM
+    rounds through fused multiply-adds, so its outputs differ from the tap
+    loop's in the last bits (about 4e-16 relative); it computes every output
+    the same way, whatever the output's position or the number of BLAS
+    threads."""
     coeffs, o = kernel.coefficients, kernel.origin
     k, n = len(coeffs), in_shape[axis]
-    m, padded, extended = _extension(n, kernel, boundary, s)
+    m, extended = _extension(n, kernel, boundary, s)
     out_shape = (m, in_shape[1]) if axis == 0 else (in_shape[0], m)
-    if _runs_as_gemm(k, in_shape):
-        # Tile j of _TILE outputs reads a window of `span` inputs, from input
-        # j*hop - o on.  Column b of the band holds the taps at rows b*s ..
-        # b*s+k-1, so a window times the band is the tile.  Tiles j0..j1-1
-        # read their windows from the plane in place, and one stacked GEMM
-        # writes them straight into the output.  Each edge tile's window is
-        # gathered, through the extension, into a zeroed strip laid out as
-        # the plane is, and one more stacked GEMM makes those tiles.  So
-        # every GEMM of a pass has one shape and one layout.
-        span, tiles, hop = (_TILE - 1) * s + k, -(-m // _TILE), _TILE * s
-        band = np.zeros((span, _TILE))
-        for b in range(_TILE):
-            band[b * s:b * s + k, b] = coeffs
-        j0 = min(tiles, -(-o // hop))
-        j1 = max(j0, min(tiles, (n + o - span) // hop + 1))
-        edges = [j for j in range(tiles) if not j0 <= j < j1]
-        other = in_shape[1 - axis]
-        window = (span, other) if axis == 0 else (other, span)
+    # Tile j of _TILE outputs reads a window of `span` inputs, from input
+    # j*hop - o on.  Column b of the band holds the taps at rows b*s ..
+    # b*s+k-1, so a window times the band is the tile.  Tiles j0..j1-1
+    # read their windows from the plane in place, and one stacked GEMM
+    # writes them straight into the output.  Each edge tile's window is
+    # gathered, through the extension, into a zeroed strip laid out as
+    # the plane is, and one more stacked GEMM makes those tiles.  So
+    # every GEMM of a pass has one shape and one layout.
+    span, tiles, hop = (_TILE - 1) * s + k, -(-m // _TILE), _TILE * s
+    band = np.zeros((span, _TILE))
+    for b in range(_TILE):
+        band[b * s:b * s + k, b] = coeffs
+    j0 = min(tiles, -(-o // hop))
+    j1 = max(j0, min(tiles, (n + o - span) // hop + 1))
+    edges = [j for j in range(tiles) if not j0 <= j < j1]
+    other = in_shape[1 - axis]
+    window = (span, other) if axis == 0 else (other, span)
 
-        def gemm(windows, out=None):
-            """Tiles of a stack of windows, both laid out as the plane is: a
-            row pass's tile j is out[:, 8j:8j+8], a column pass's out[8j:8j+8]."""
-            if axis:
-                return np.matmul(windows, band, out=out)
-            return np.matmul(band.T, windows, out=out)
+    def gemm(windows, out=None):
+        """Tiles of a stack of windows, both laid out as the plane is: a
+        row pass's tile j is out[:, 8j:8j+8], a column pass's out[8j:8j+8]."""
+        if axis:
+            return np.matmul(windows, band, out=out)
+        return np.matmul(band.T, windows, out=out)
 
-        def along(a):  # a plane or a tile with the pass axis first
-            return a.swapaxes(0, axis)
+    def along(a):  # a plane or a tile with the pass axis first
+        return a.swapaxes(0, axis)
 
-        def gemm_pass(x: np.ndarray) -> np.ndarray:
-            x = np.ascontiguousarray(x)  # BLAS reads rows of unit stride
-            out = np.empty(out_shape)
-            if j1 > j0:
-                windows = sliding_window_view(x, window).reshape(-1, *window)[j0 * hop - o::hop]
-                tiled = along(out)[j0 * _TILE:j1 * _TILE].reshape(j1 - j0, _TILE, other)
-                gemm(windows[:j1 - j0], out=tiled.swapaxes(1, 1 + axis))  # along() per tile
-            strips = np.zeros((len(edges), *window))
-            for strip, j in zip(strips, edges):
-                idx = extended[j * hop:j * hop + span]  # zeros past the extension
-                along(strip)[:len(idx)] = along(x)[idx]
-            for j, tile in zip(edges, gemm(strips)):
-                along(out)[j * _TILE:(j + 1) * _TILE] = along(tile)[:m - j * _TILE]
-            return out
-        return gemm_pass
-
-    terms = _tap_plan(kernel, m, s, axis)
-
-    def tap_loop(x: np.ndarray) -> np.ndarray:
+    def gemm_pass(x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x)  # BLAS reads rows of unit stride
         out = np.empty(out_shape)
-        _tap_sum(terms, x.take(extended, axis) if padded else x, out,
-                 np.empty(out_shape) if len(terms) > 1 else None)
+        if j1 > j0:
+            windows = sliding_window_view(x, window).reshape(-1, *window)[j0 * hop - o::hop]
+            tiled = along(out)[j0 * _TILE:j1 * _TILE].reshape(j1 - j0, _TILE, other)
+            gemm(windows[:j1 - j0], out=tiled.swapaxes(1, 1 + axis))  # along() per tile
+        strips = np.zeros((len(edges), *window))
+        for strip, j in zip(strips, edges):
+            idx = extended[j * hop:j * hop + span]  # zeros past the extension
+            along(strip)[:len(idx)] = along(x)[idx]
+        for j, tile in zip(edges, gemm(strips)):
+            along(out)[j * _TILE:(j + 1) * _TILE] = along(tile)[:m - j * _TILE]
         return out
-    return tap_loop
+    return gemm_pass
 
 
 def _band_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, s: int):
-    """A convolution whose two passes are both tap loops, laid out once as
-    bands of output rows: returns a function that maps a plane of `shape`
-    to a freshly allocated output.
+    """A tap-loop convolution, laid out once as bands of output rows:
+    returns a function that maps a plane of `shape` to a freshly allocated
+    output.
 
     A band of b output rows reads (b-1)*s + k input rows, halo included,
     through the row axis's extension index: a slice of the plane where
@@ -357,8 +341,8 @@ def _band_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, s: int):
     band's rows of the output.  Every band but a shorter last one shares
     one list of column-pass terms, and all share the row pass's."""
     k = len(kernel.factor)
-    m_w, cols_padded, cols = _extension(shape[1], kernel, boundary, s)
-    m_h, _, rows = _extension(shape[0], kernel, boundary, s)
+    m_w, cols = _extension(shape[1], kernel, boundary, s)
+    m_h, rows = _extension(shape[0], kernel, boundary, s)
     step = max(1, (_BLOCK // m_w - k) // s + 1)  # output rows per band
     row_terms, column_terms, bands = _tap_plan(kernel, m_w, s, 1), {}, []
     for r0 in range(0, m_h, step):
@@ -377,7 +361,7 @@ def _band_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, s: int):
         scratch = np.empty(mid_shape) if len(row_terms) > 1 else None
         for dst, src, terms in bands:
             band = x[src] if isinstance(src, slice) else x.take(src, 0)
-            if cols_padded:
+            if len(cols) > shape[1]:  # the column axis is extended
                 band = band.take(cols, 1)
             rows_out = mid[:len(band)]
             _tap_sum(row_terms, band, rows_out, scratch)
@@ -393,16 +377,15 @@ def _band_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, s: int):
 def _conv_plan(kernel: Kernel2D, shape: tuple[int, int], boundary: str, decimate: int):
     """One conv2_decimated over planes of `shape`, once the stride, the
     boundary mode and the kernel's fit to both axes are checked: a function
-    that maps such a plane to a fresh output.  A convolution whose passes
-    are both tap loops runs in bands of output rows (_band_plan); any other
-    runs its row pass and then its column pass over the whole plane."""
+    that maps such a plane to a fresh output.  Where _runs_as_gemm says so,
+    it is a GEMM row pass and then a GEMM column pass over the whole plane;
+    otherwise it is a tap loop in bands of output rows (_band_plan)."""
     s = _checked_stride(boundary, decimate)  # checks the boundary mode too
     _check_fit(shape, kernel, s)
-    k, mid = len(kernel.factor), (shape[0], _out_len(shape[1], s))
-    if not (_runs_as_gemm(k, shape) or _runs_as_gemm(k, mid)):
+    if not _runs_as_gemm(len(kernel.factor), shape, s):
         return _band_plan(kernel, shape, boundary, s)
-    row_pass, column_pass = (_pass_plan(kernel, shape, boundary, s, 1),
-                             _pass_plan(kernel, mid, boundary, s, 0))
+    row_pass, column_pass = (_gemm_pass(kernel, shape, boundary, s, 1),
+                             _gemm_pass(kernel, (shape[0], _out_len(shape[1], s)), boundary, s, 0))
     return lambda x: column_pass(row_pass(x))
 
 

@@ -385,6 +385,59 @@ def test_config_key_error_exit(ws, tmp_path, capsys):
     assert "unknown config key 'colour'" in capsys.readouterr().err
 
 
+def test_config_key_set_twice_exit_2(ws, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("width = 64\nheight = 64\nwidth = 32\n")
+    out = tmp_path / "o.feat"
+    rc = main(["extract", "--manifest", str(ws["manifest"]), "--out", str(out),
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {cfg}:3: key 'width' already set on line 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims, veclen", [
+    ("width = 99999999999999999999\nheight = 64\n", 21 * 10**20),
+    ("width = 3000000000\nheight = 3000000000\n", 2953125 * 10**12),
+], ids=["too-many-dims", "too-many-bytes"])
+def test_extract_of_rows_numpy_cannot_hold_exit_2(ws, tmp_path, capsys, dims, veclen):
+    """The feature rows are allocated before any image is read: a shape
+    numpy cannot represent ends in a data error naming the dims, the vector
+    length, the image count and the bytes, and no file is written."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(dims)
+    out = tmp_path / "o.feat"
+    rc = main(["extract", "--manifest", str(ws["manifest"]), "--out", str(out),
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    w, h = (line.split("= ")[1] for line in dims.splitlines())
+    assert err == (f"data error: {w}x{h} images give {veclen} features each; 15 float32 "
+                   f"rows of them ({4 * 15 * veclen} bytes) cannot be allocated\n")
+    assert not out.exists()
+
+
+def test_extract_of_rows_memory_cannot_hold_exit_2(ws, tmp_path, monkeypatch, capsys):
+    """A shape numpy can represent but cannot allocate raises MemoryError,
+    simulated here for the rows array alone; it too ends in a data error."""
+    real = np.empty
+
+    def empty(shape, dtype=float, *args, **kwargs):
+        if shape == (15, 1344) and dtype == "<f4":
+            raise MemoryError("Unable to allocate")
+        return real(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out = tmp_path / "o.feat"
+    rc = main(["extract", "--manifest", str(ws["manifest"]), "--out", str(out),
+               "--config", str(ws["cfg"])])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error: 64x64 images give 1344 features each; 15 float32 rows of them "
+        f"({4 * 15 * 1344} bytes) cannot be allocated\n")
+    assert not out.exists()
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--out", "d", "--config", "c.cfg"],
     ["synth", "--out", "d", "--threads", "2"],

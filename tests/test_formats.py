@@ -879,10 +879,21 @@ def test_manifest_errors_name_line(tmp_path):
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nwidth = 64\nheight=48 # trailing\n\nwidth=32\n")
-    assert parse_config_file(path) == {"width": "32", "height": "48"}
+    path.write_text("# comment\nwidth = 64\nheight=48 # trailing\n\n")
+    assert parse_config_file(path) == {"width": "64", "height": "48"}
     path.write_text("width 64\n")
     with pytest.raises(DataError, match=r"run\.cfg:1: expected key=value"):
+        parse_config_file(path)
+
+
+def test_config_key_set_twice_is_rejected(tmp_path):
+    # as configparser's strict mode: the second line names the first
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nwidth = 64\nheight=48\n\n width=32 # again\n")
+    with pytest.raises(DataError, match=r"run\.cfg:5: key 'width' already set on line 2$"):
+        parse_config_file(path)
+    path.write_text("selection =\nselection = U1\n")  # an empty value sets the key too
+    with pytest.raises(DataError, match=r"run\.cfg:2: key 'selection' already set on line 1$"):
         parse_config_file(path)
 
 

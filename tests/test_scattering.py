@@ -266,16 +266,16 @@ def _unblocked_pass(x, f, origin, boundary, s, axis, fold=True):
 @example(("bior2.6", SCALE, "symmetric", 2, 40, 40, 1, 3))  # both passes are GEMMs
 def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     """The tap loop is bitwise the plainest pass that sums the same terms in
-    the same order, whatever the block size.  A pass that the engine rule sends to a GEMM rounds otherwise
-    (test_gemm_passes_are_shift_equivariant), so a convolution with a GEMM
-    pass is held to brute force instead."""
+    the same order, whatever the block size.  A convolution that the engine
+    rule sends to the GEMM rounds otherwise
+    (test_gemm_passes_are_shift_equivariant), so it is held to brute force
+    instead."""
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
     with _replanned(_BLOCK=block):
         got = conv2_decimated(x, kern, boundary, s)
-    k = len(kern.factor)
-    if scattering._runs_as_gemm(k, x.shape) or scattering._runs_as_gemm(k, (h, -(-w // s))):
+    if scattering._runs_as_gemm(len(kern.factor), x.shape, s):
         want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
         assert got.shape == want.shape
         assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
@@ -286,7 +286,7 @@ def test_planned_pass_is_bitwise_the_unblocked_pass(case):
     assert got.tobytes() == want.tobytes()
 
 
-# Engine constants under which every pass runs as a tap loop.
+# Engine constants under which every convolution runs as a tap loop.
 _NO_GEMM = dict(GEMM_MIN_TAPS=1 << 30, GEMM_MIN_PIXELS=1 << 62)
 
 
@@ -298,14 +298,15 @@ _NO_GEMM = dict(GEMM_MIN_TAPS=1 << 30, GEMM_MIN_PIXELS=1 << 62)
 @example(("bior2.2", SCALE, "periodic", 2, 35, 21, 3, 3))
 @example(("bior1.1", WAVELET_DIAGONAL, "periodic", 3, 25, 7, 4, 4))  # the subtracting fold
 def test_tap_loop_matches_brute_property(case):
-    """With the engine rule patched so that no pass is a GEMM, the folded tap
-    loop is within criterion 4's bound of brute force: every basis and kind,
-    both boundaries, strides 1-4, 1-40 px sides and blocks of 1-64 outputs."""
+    """With the engine rule patched so that no convolution is a GEMM, the
+    folded tap loop is within criterion 4's bound of brute force: every
+    basis and kind, both boundaries, strides 1-4, 1-40 px sides and blocks
+    of 1-64 outputs."""
     name, kind, boundary, s, h, w, block, seed = case
     kern = _kern(name, kind)
     x = np.random.default_rng(seed).standard_normal((h, w))
     with _replanned(_BLOCK=block, **_NO_GEMM):
-        assert not scattering._runs_as_gemm(len(kern.factor), x.shape)
+        assert not scattering._runs_as_gemm(len(kern.factor), x.shape, s)
         got = conv2_decimated(x, kern, boundary, s)
     want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
     assert got.shape == want.shape
@@ -333,7 +334,7 @@ def _band_cases(draw):
 @example((_kern("bior1.3", WAVELET_DIAGONAL), "symmetric", 3, 1, 130, 7, 2))  # one input row
 @example((_kern("bior1.1", WAVELET_DIAGONAL), "symmetric", 2, 129, 1, 1, 3))  # one column
 def test_banded_convolution_is_bitwise_the_whole_plane_passes(case):
-    """With both passes on the tap loop, a convolution runs in bands of
+    """On the tap loop, a convolution runs in bands of
     output rows, each reading its input rows and halo through the row
     axis's extension; whatever the band height, its bytes are the whole-plane
     row pass and then the whole-plane column pass."""
@@ -415,7 +416,7 @@ def test_unmirrored_kernel_sums_its_taps_in_order(boundary):
 
 def test_a_convolution_is_resolved_once():
     """After the first call, a convolution of the same kernel, shape,
-    boundary and stride neither checks the fit nor looks a pass up again;
+    boundary and stride neither checks the fit nor lays a pass out again;
     an argument that fails its checks is never cached and fails each time,
     with the same message as an unhashable one."""
     kern = _kern("bior2.2", SCALE)
@@ -423,7 +424,8 @@ def test_a_convolution_is_resolved_once():
     _clear_plans()
     want = conv2_decimated(x, kern, "symmetric", 2)
     with mock.patch.object(scattering, "_check_fit", side_effect=AssertionError), \
-            mock.patch.object(scattering, "_pass_plan", side_effect=AssertionError):
+            mock.patch.object(scattering, "_gemm_pass", side_effect=AssertionError), \
+            mock.patch.object(scattering, "_band_plan", side_effect=AssertionError):
         assert conv2_decimated(x, kern, "symmetric", 2).tobytes() == want.tobytes()
     for _ in range(2):
         with pytest.raises(DataError, match="decimate must be >= 1, got 0"):
@@ -483,16 +485,43 @@ def test_gemm_passes_are_shift_equivariant(case):
     tile or its GEMM, and whether its tile reads the plane in place or
     through an edge strip.  The engine rule's plane-size threshold is
     patched to 0, so every kernel here runs both passes as GEMMs; a plane
-    of one row or one column would take the tap loop."""
+    of one row, or whose column pass has one column, would take the tap
+    loop."""
     kern, s, x, (dy, dx) = case
-    (h, w), k = x.shape, len(kern.factor)
     with _replanned(GEMM_MIN_PIXELS=0):
-        assert scattering._runs_as_gemm(k, (h, w)) and scattering._runs_as_gemm(k, (h, w // s))
+        assert scattering._runs_as_gemm(len(kern.factor), x.shape, s)
         base = conv2_decimated(x, kern, "periodic", s)
         moved = conv2_decimated(np.roll(x, (dy, dx), axis=(0, 1)), kern, "periodic", s)
         again = conv2_decimated(x, kern, "periodic", s)
     assert moved.tobytes() == np.roll(base, (dy // s, dx // s), axis=(0, 1)).tobytes()
     assert base.tobytes() == again.tobytes()
+
+
+# 3, 5 and 6 taps on planes of at least GEMM_MIN_PIXELS samples whose column
+# pass's plane has fewer: the rule reads the input plane, so both passes are
+# GEMMs.
+@pytest.mark.parametrize("boundary", ["symmetric", "periodic"])
+@pytest.mark.parametrize("shape", [(256, 256), (240, 320), (362, 362)],
+                         ids=["256x256", "320x240", "362x362"])
+@pytest.mark.parametrize("name, kind", _GEMM_KERNELS[:3], ids=["3-tap", "5-tap", "6-tap"])
+def test_mixed_window_convolutions_run_two_gemm_passes(name, kind, shape, boundary):
+    """Such a convolution is bitwise the GEMM row pass and then the GEMM
+    column pass, within criterion 4's bound of brute force, and under the
+    periodic boundary a shift by a multiple of the stride rolls its output
+    bit for bit (criterion 6)."""
+    kern, s = _kern(name, kind), 2
+    h, w = shape
+    assert h * w >= scattering.GEMM_MIN_PIXELS > h * -(-w // s)
+    assert scattering._runs_as_gemm(len(kern.factor), shape, s)
+    x = np.random.default_rng(h * w).standard_normal(shape)
+    got = conv2_decimated(x, kern, boundary, s)
+    rows = scattering._gemm_pass(kern, shape, boundary, s, 1)(x)
+    assert got.tobytes() == scattering._gemm_pass(kern, rows.shape, boundary, s, 0)(rows).tobytes()
+    want = oracles.brute_conv2(x, kern.taps, kern.origin, boundary, s)
+    assert oracles.scaled_err(got, want, kern.taps, x) <= 1e-12
+    if boundary == "periodic":
+        moved = conv2_decimated(np.roll(x, (2 * 37, 2 * 51), axis=(0, 1)), kern, boundary, s)
+        assert moved.tobytes() == np.roll(got, (37, 51), axis=(0, 1)).tobytes()
 
 
 # 3, 5 and 13 taps
@@ -525,17 +554,13 @@ def test_gemm_row_pass_rows_do_not_depend_on_plane_height(case):
     """A GEMM row pass makes each row of its output from that row alone, the
     same way whatever the plane's height: the rows of a plane below its
     first d are bitwise the row pass of those rows by themselves, and the
-    plane in column-major order gives the same bytes.  The plane-size
-    threshold is patched to 0, so every pass here is a GEMM; a plane of one
-    row takes the tap loop, since a GEMM of one row is a vector-matrix
-    product that sums in another order."""
+    plane in column-major order gives the same bytes.  The engine rule
+    sends no plane of one row to the GEMM, since a GEMM of one row is a
+    vector-matrix product that sums in another order."""
     kern, boundary, s, x, d = case
-    k = len(kern.factor)
-    assert not scattering._runs_as_gemm(3, (1, 1 << 17))
-    with _replanned(GEMM_MIN_PIXELS=0):
-        assert scattering._runs_as_gemm(k, x[d:].shape)
-        row_pass = scattering._pass_plan(kern, x.shape, boundary, s, 1)
-        cut = scattering._pass_plan(kern, x[d:].shape, boundary, s, 1)(x[d:])
+    assert not scattering._runs_as_gemm(3, (1, 1 << 17), 1)
+    row_pass = scattering._gemm_pass(kern, x.shape, boundary, s, 1)
+    cut = scattering._gemm_pass(kern, x[d:].shape, boundary, s, 1)(x[d:])
     whole = row_pass(x)
     assert whole[d:].tobytes() == cut.tobytes()
     assert row_pass(np.asfortranarray(x)).tobytes() == whole.tobytes()
@@ -570,8 +595,7 @@ def test_gemm_convolution_allocates_no_plane_sized_buffer(name, kind):
         tracemalloc.stop()
     rows_out = 720 * 640 * 8  # the row pass's output, the column pass's input
     assert peak <= rows_out + out.nbytes + (1 << 20)
-    assert scattering._runs_as_gemm(len(kern.factor), x.shape)
-    assert scattering._runs_as_gemm(len(kern.factor), (720, 640))
+    assert scattering._runs_as_gemm(len(kern.factor), x.shape, 2)
 
 
 def test_one_plan_per_kernel_shape_and_stride():
@@ -617,7 +641,7 @@ def test_signed_zero_taps_keep_their_sign_in_the_coefficients():
 def test_patched_block_changes_the_plan_bands():
     kern = _kern("bior2.2", SCALE)
     x = np.random.default_rng(5).standard_normal((48, 40))
-    key = (kern, x.shape, "symmetric", 2)  # 24 rows of 20 outputs, both passes tap loops
+    key = (kern, x.shape, "symmetric", 2)  # 24 rows of 20 outputs on the tap loop
 
     def bands(plan):
         return len(inspect.getclosurevars(plan).nonlocals["bands"])
@@ -631,7 +655,7 @@ def test_patched_block_changes_the_plan_bands():
     assert whole.tobytes() == split.tobytes()
 
 
-def test_pass_plan_cache_is_bounded():
+def test_conv_plan_cache_is_bounded():
     kern = _kern("bior1.1", SCALE)
     limit = scattering._conv_plan.cache_info().maxsize
     assert limit is not None
